@@ -129,7 +129,7 @@ func (s *Service) SolveBatch(ctx context.Context, bs [][]float64, opts SolveOpti
 				Iterations:  cr.Iterations,
 				Residual:    cr.Residual,
 				Converged:   cr.Converged,
-				PrecondUses: bst.InnerUses,
+				PrecondUses: bst.PrecondUses,
 				Generation:  snap.Gen,
 			}
 			results[i].Err = cr.Err

@@ -10,7 +10,8 @@
 // Scale 1 is laptop-friendly; the paper's graph sizes correspond to scale
 // 10-100 on the larger families. Output is the same row layout as the
 // paper's tables so measured and published numbers can be compared side by
-// side (see EXPERIMENTS.md).
+// side. perfbench/README.md documents the Table II protocol the repository's
+// benchmark runs (the paper_update workload).
 package main
 
 import (

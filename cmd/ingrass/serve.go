@@ -259,14 +259,14 @@ type edgesRequest struct {
 }
 
 // solveRequest carries the right-hand side plus the unified solve options.
-// Tol/MaxIter/InnerTol/InnerIters flow unchanged down to the innermost CG
-// loop; DeadlineMS bounds wall-clock time via a context deadline.
+// Tol/MaxIter flow unchanged down to the PCG loop; DeadlineMS bounds
+// wall-clock time via a context deadline. The decoder ignores unknown
+// fields, so the retired inner_tol/inner_iters fields of older clients are
+// accepted and have no effect.
 type solveRequest struct {
 	B          []float64 `json:"b"`
 	Tol        float64   `json:"tol,omitempty"`
 	MaxIter    int       `json:"max_iter,omitempty"`
-	InnerTol   float64   `json:"inner_tol,omitempty"`
-	InnerIters int       `json:"inner_iters,omitempty"`
 	DeadlineMS int       `json:"deadline_ms,omitempty"`
 }
 
@@ -281,8 +281,6 @@ type batchSolveRequest struct {
 	Bs         [][]float64 `json:"bs"`
 	Tol        float64     `json:"tol,omitempty"`
 	MaxIter    int         `json:"max_iter,omitempty"`
-	InnerTol   float64     `json:"inner_tol,omitempty"`
-	InnerIters int         `json:"inner_iters,omitempty"`
 	DeadlineMS int         `json:"deadline_ms,omitempty"`
 }
 
@@ -499,10 +497,8 @@ func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 			defer cancel()
 		}
 		x, stats, err := svc.Solve(ctx, req.B, ingrass.SolveOptions{
-			Tol:        req.Tol,
-			MaxIter:    req.MaxIter,
-			InnerTol:   req.InnerTol,
-			InnerIters: req.InnerIters,
+			Tol:     req.Tol,
+			MaxIter: req.MaxIter,
 		})
 		if err != nil {
 			writeError(w, solveStatus(err), err)
@@ -596,10 +592,8 @@ func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 			defer cancel()
 		}
 		results, gen, err := svc.SolveBatch(ctx, req.Bs, ingrass.SolveOptions{
-			Tol:        req.Tol,
-			MaxIter:    req.MaxIter,
-			InnerTol:   req.InnerTol,
-			InnerIters: req.InnerIters,
+			Tol:     req.Tol,
+			MaxIter: req.MaxIter,
 		})
 		if err != nil {
 			writeError(w, solveStatus(err), err)

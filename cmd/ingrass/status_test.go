@@ -48,3 +48,34 @@ func TestHTTPSolveOptionsReachSolver(t *testing.T) {
 		t.Fatalf("starved solve: %d %+v", r.StatusCode, e)
 	}
 }
+
+// TestHTTPSolveIgnoresRetiredInnerFields: inner_tol/inner_iters tuned an
+// inner solve the preconditioner no longer runs. Older clients still send
+// them; the decoder ignores unknown fields, so such a request gets the
+// same answer as one without them.
+func TestHTTPSolveIgnoresRetiredInnerFields(t *testing.T) {
+	svc := testService(t)
+	srv := httptest.NewServer(newServeMux(svc, nil))
+	defer srv.Close()
+
+	b := make([]float64, 36)
+	for i := range b {
+		b[i] = math.Sin(float64(i))
+	}
+	var plain, old solveResponse
+	if r := doJSON(t, srv, http.MethodPost, "/solve", map[string]any{"b": b}, &plain); r.StatusCode != http.StatusOK {
+		t.Fatalf("plain solve: status %d", r.StatusCode)
+	}
+	r := doJSON(t, srv, http.MethodPost, "/solve", map[string]any{"b": b, "inner_tol": 0.5, "inner_iters": 1}, &old)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("solve with retired fields: status %d", r.StatusCode)
+	}
+	if old.Stats.Iterations != plain.Stats.Iterations {
+		t.Fatalf("retired fields changed the solve: %d vs %d iterations", old.Stats.Iterations, plain.Stats.Iterations)
+	}
+	for i := range plain.X {
+		if math.Float64bits(old.X[i]) != math.Float64bits(plain.X[i]) {
+			t.Fatalf("retired fields changed x[%d]: %g vs %g", i, old.X[i], plain.X[i])
+		}
+	}
+}

@@ -56,7 +56,7 @@ func findSpan(ts *trace.TraceSnapshot, name string) *trace.SpanSnapshot {
 // one POST /solve through the router to a replica produces ONE trace whose
 // router-side portion (http_request root + router_client child) and
 // backend-side portion (http_request -> batch_group -> solve_outer ->
-// solve_inner) share the trace ID and link parent-to-child across the
+// precond_apply) share the trace ID and link parent-to-child across the
 // process boundary, retrievable stitched from the router's /debug/requests.
 // A POST /edges exercises the same round-trip toward the primary.
 func TestTracePropagationThroughRouter(t *testing.T) {
@@ -169,7 +169,7 @@ func TestTracePropagationThroughRouter(t *testing.T) {
 	}
 
 	solveTrace := checkStitched("solve", follower.srv.URL,
-		[]string{"http_request", "batch_group", "solve_outer", "solve_inner"})
+		[]string{"http_request", "batch_group", "solve_outer", "precond_apply"})
 	// The write round-trip: batch_group/wal spans need a durable engine
 	// (covered by the CI trace smoke); here the linkage itself is the check.
 	checkStitched("edges_add", primary.srv.URL, []string{"http_request"})

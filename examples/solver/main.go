@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s: %3d outer iters, %d inner solves, residual %.1e, V(drop)=%.4f, %v\n",
+		fmt.Printf("%s: %3d PCG iters, %d precond applies, residual %.1e, V(drop)=%.4f, %v\n",
 			tag, stats.Iterations, stats.PrecondUses, stats.Residual,
 			x[0]-x[n-1], time.Since(start).Round(time.Millisecond))
 	}

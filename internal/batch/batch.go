@@ -105,12 +105,12 @@ type Req struct {
 	Opts solver.Options
 
 	// Results, owned by the executor until the future completes.
-	Iterations int
-	Residual   float64
-	Converged  bool
-	InnerUses  int
-	Resistance float64
-	Err        error
+	Iterations  int
+	Residual    float64
+	Converged   bool
+	PrecondUses int
+	Resistance  float64
+	Err         error
 
 	gen       uint64
 	done      chan struct{}

@@ -7,7 +7,8 @@ import (
 
 // Tiny-scale smoke runs: the harness must produce structurally sane rows
 // quickly. Shape assertions are deliberately lenient — tiny graphs are
-// noisy — with the real shape checks recorded in EXPERIMENTS.md at scale 1.
+// noisy. The scale-1 Table II protocol is the paper_update workload of
+// perfbench (see perfbench/README.md).
 func tinyParams() Params {
 	return Params{
 		Scale:      0.01,

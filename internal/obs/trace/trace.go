@@ -36,10 +36,10 @@ const (
 	// scheduler: queue wait from Submit to group execution, then the
 	// blocked solve itself.
 	SpanBatchGroup
-	// SpanSolveOuter is the outer (flexible) CG solve for one column.
+	// SpanSolveOuter is the preconditioned CG solve for one column.
 	SpanSolveOuter
-	// SpanSolveInner is one truncated inner preconditioner application.
-	SpanSolveInner
+	// SpanPrecondApply is one preconditioner application (a factor sweep).
+	SpanPrecondApply
 	// SpanWALAppend covers encoding + writing one WAL batch record.
 	SpanWALAppend
 	// SpanWALFsync is the fsync portion of a WAL append (SyncAlways).
@@ -54,7 +54,7 @@ var spanNames = [numSpanNames]string{
 	SpanRouterClient: "router_client",
 	SpanBatchGroup:   "batch_group",
 	SpanSolveOuter:   "solve_outer",
-	SpanSolveInner:   "solve_inner",
+	SpanPrecondApply: "precond_apply",
 	SpanWALAppend:    "wal_append",
 	SpanWALFsync:     "wal_fsync",
 }
@@ -75,8 +75,8 @@ const (
 	attrInvalid AttrKey = iota
 	// AttrIterations is the outer CG iteration count of a solve span.
 	AttrIterations
-	// AttrInnerUses counts preconditioner applications in a solve span.
-	AttrInnerUses
+	// AttrPrecondApplies counts preconditioner applications in a solve span.
+	AttrPrecondApplies
 	// AttrWidth is the coalesced block width of a batch-group span.
 	AttrWidth
 	// AttrQueueWaitNS is time from Submit to group execution start.
@@ -94,15 +94,15 @@ const (
 )
 
 var attrKeys = [numAttrKeys]string{
-	attrInvalid:     "invalid",
-	AttrIterations:  "iterations",
-	AttrInnerUses:   "inner_uses",
-	AttrWidth:       "width",
-	AttrQueueWaitNS: "queue_wait_ns",
-	AttrStatus:      "status",
-	AttrBackend:     "backend",
-	AttrGeneration:  "generation",
-	AttrBytes:       "bytes",
+	attrInvalid:        "invalid",
+	AttrIterations:     "iterations",
+	AttrPrecondApplies: "precond_applies",
+	AttrWidth:          "width",
+	AttrQueueWaitNS:    "queue_wait_ns",
+	AttrStatus:         "status",
+	AttrBackend:        "backend",
+	AttrGeneration:     "generation",
+	AttrBytes:          "bytes",
 }
 
 // String returns the wire name of k.

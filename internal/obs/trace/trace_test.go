@@ -152,7 +152,7 @@ func TestSpanBufferOverflow(t *testing.T) {
 	r := newTestRecorder(Options{SampleRate: 1})
 	root := r.StartRequest("solve", Remote{})
 	for i := 0; i < MaxSpans+10; i++ {
-		s := root.StartChild(SpanSolveInner)
+		s := root.StartChild(SpanPrecondApply)
 		s.End()
 	}
 	snap := r.Finish(root, 200)
@@ -223,7 +223,7 @@ func TestSpanOpsAllocationFree(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(1000, func() {
 		s := FromContext(ctx)
-		c := s.StartChild(SpanSolveInner) // overflows quickly; both paths alloc-free
+		c := s.StartChild(SpanPrecondApply) // overflows quickly; both paths alloc-free
 		c.SetAttr(AttrIterations, 7)
 		c.End()
 	}); allocs != 0 {
@@ -239,7 +239,7 @@ func TestAttrOverwriteAndCap(t *testing.T) {
 	root.SetAttr(AttrIterations, 1)
 	root.SetAttr(AttrIterations, 2)
 	root.SetAttr(AttrWidth, 3)
-	root.SetAttr(AttrInnerUses, 4)
+	root.SetAttr(AttrPrecondApplies, 4)
 	root.SetAttr(AttrGeneration, 5)
 	root.SetAttr(AttrBytes, 6) // 5th distinct key (after status lands at Finish: 4 slots)
 	snap := r.Finish(root, 200)

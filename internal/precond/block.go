@@ -3,7 +3,6 @@ package precond
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"ingrass/internal/obs/trace"
 	"ingrass/internal/solver"
@@ -11,120 +10,11 @@ import (
 	"ingrass/internal/vecmath"
 )
 
-// blockSolveState is the per-call mutable half of a blocked solve: the
-// scratch workspace, the request context, and the header arenas and
-// BlockScratch bookkeeping both nesting levels of a blocked solve need. It
-// implements sparse.BlockPreconditioner — one truncated blocked Jacobi-PCG
-// on L_H per application, traversing the sparsifier CSR once per inner
-// iteration for the whole active column set. States are pooled on the
-// Factorization and confined to one solve call tree while checked out.
-type blockSolveState struct {
-	f            *Factorization
-	ws           *solver.Workspace
-	ctx          context.Context
-	inner        solver.Options
-	applications int
-	callerProj   sparse.ProjectedOperator
-
-	outerSC  sparse.BlockScratch
-	innerSC  sparse.BlockScratch
-	outerRHS [][]float64 // header arena for the centered outer rhs block
-	innerRHS [][]float64 // header arena for each preconditioner application
-	innerDst [][]float64
-	innerOut []sparse.ColumnResult
-
-	// spans holds one outer-solve span per original column; inner-solve
-	// children are attributed through the active-column mapping the outer
-	// solver pushes via SetActiveColumns. traced gates the bookkeeping so
-	// untraced blocks pay one boolean check per application.
-	spans      [sparse.MaxBlockWidth]trace.Span
-	activeCols [sparse.MaxBlockWidth]int
-	activeN    int
-	traced     bool
-}
-
-// headers returns arena resliced to m entries, reusing its backing storage.
-func headers(arena *[][]float64, m int) [][]float64 {
-	h := (*arena)[:0]
-	for i := 0; i < m; i++ {
-		h = append(h, nil)
-	}
-	*arena = h
-	return h
-}
-
-// PrecondBlock computes dst[j] ~= L_H^+ src[j] (mean-centered) for the
-// whole active column set by one truncated blocked Jacobi-PCG. Column j's
-// arithmetic is bit-identical to the single-column solveState.Precond, so
-// blocked and independent solves agree column-for-column; convergence
-// failures of the truncated solve are expected and benign, exactly as in
-// the single-vector path.
-// SetActiveColumns records which original columns the next PrecondBlock
-// application covers (sparse.ActiveColumnsAware).
-func (st *blockSolveState) SetActiveColumns(cols []int) {
-	if !st.traced {
-		return
-	}
-	st.activeN = copy(st.activeCols[:], cols)
-}
-
-func (st *blockSolveState) PrecondBlock(dst, src [][]float64) {
-	st.applications++
-	var innerSpans [sparse.MaxBlockWidth]trace.Span
-	m := len(src)
-	if st.traced && st.activeN == m {
-		for i := 0; i < m; i++ {
-			innerSpans[i] = st.spans[st.activeCols[i]].StartChild(trace.SpanSolveInner)
-		}
-		defer func() {
-			for i := 0; i < m; i++ {
-				innerSpans[i].End()
-			}
-		}()
-	}
-	mark := st.ws.Mark()
-	defer st.ws.Release(mark)
-	rhs := headers(&st.innerRHS, m)
-	for j := 0; j < m; j++ {
-		rhs[j] = st.ws.Take()
-		copy(rhs[j], src[j])
-		vecmath.CenterMean(rhs[j])
-		vecmath.Zero(dst[j])
-	}
-	if cap(st.innerOut) < m {
-		st.innerOut = make([]sparse.ColumnResult, m)
-	}
-	_ = sparse.BlockCG(st.ctx, st.f.proj, sparse.BlockSpec{
-		X: dst, B: rhs, Out: st.innerOut[:m],
-	}, st.f.hop.Jacobi(), st.ws, &st.innerSC, st.inner)
-	for j := 0; j < m; j++ {
-		vecmath.CenterMean(dst[j])
-	}
-}
-
-var _ sparse.BlockPreconditioner = (*blockSolveState)(nil)
-
-// blockStatePool wraps sync.Pool with typed checkout for blocked states.
-type blockStatePool struct {
-	p sync.Pool
-}
-
-func (bp *blockStatePool) get() *blockSolveState { return bp.p.Get().(*blockSolveState) }
-func (bp *blockStatePool) put(st *blockSolveState) {
-	st.ctx = nil
-	st.callerProj.Inner = nil
-	st.spans = [sparse.MaxBlockWidth]trace.Span{}
-	st.activeN = 0
-	st.traced = false
-	bp.p.Put(st)
-}
-
-// SolveBlock runs one blocked flexible-CG solve of sys x[j] = b[j] for up
-// to sparse.MaxBlockWidth right-hand sides, preconditioned by truncated
-// blocked inner solves of L_H: each outer iteration applies the system
-// operator once to the whole block, and each preconditioner application
-// runs one blocked inner solve — so the CSR structures of G and H are each
-// traversed once per iteration for all columns, instead of once per column.
+// SolveBlock runs one blocked PCG solve of sys x[j] = b[j] for up to
+// sparse.MaxBlockWidth right-hand sides, preconditioned by the factor of
+// L_H: each iteration applies the system operator once to the whole block
+// (one traversal of G's structure for all columns) and the factor sweep to
+// each active column.
 //
 // Per-column semantics mirror Solve exactly: every b[j] is mean-centered
 // internally, every solution written into x[j] is mean-zero, and column j's
@@ -133,15 +23,15 @@ func (bp *blockStatePool) put(st *blockSolveState) {
 // opts overrides the factorization defaults field-wise for the whole group
 // — coalesced requests must share option sets, which the batch scheduler
 // guarantees. colCtx optionally carries one context per column: a cancelled
-// column is masked out of the block within one outer iteration and recorded
-// in out, without disturbing the remaining columns; ctx cancels the whole
+// column is masked out of the block within one iteration and recorded in
+// out, without disturbing the remaining columns; ctx cancels the whole
 // group. out receives one ColumnResult per column; the returned int is the
 // number of (blocked) preconditioner applications. The returned error is
 // reserved for structural failures and whole-group cancellation.
 //
 // Safe for any number of concurrent callers; each call checks a private
-// blocked solve state out of the factorization's pool, and the warm path
-// allocates nothing.
+// solve state out of the factorization's pool, and the warm path allocates
+// nothing.
 func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -153,6 +43,9 @@ func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs,
 	if len(bs) != w || len(out) != w {
 		return 0, fmt.Errorf("precond: SolveBlock widths xs=%d bs=%d out=%d", w, len(bs), len(out))
 	}
+	if w > sparse.MaxBlockWidth {
+		return 0, fmt.Errorf("precond: SolveBlock width %d exceeds %d", w, sparse.MaxBlockWidth)
+	}
 	for j := 0; j < w; j++ {
 		if len(xs[j]) != f.n || len(bs[j]) != f.n {
 			return 0, fmt.Errorf("precond: SolveBlock column %d dims x=%d b=%d n=%d", j, len(xs[j]), len(bs[j]), f.n)
@@ -160,13 +53,9 @@ func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs,
 	}
 	eff := f.opts.Override(opts)
 
-	st := f.bp.get()
-	defer f.bp.put(st)
-	st.ctx = ctx
-	st.inner = eff.Inner()
-	st.applications = 0
-	st.traced = false
-	st.activeN = 0
+	st := f.sp.get()
+	defer f.sp.put(st)
+	op := st.begin(sys)
 	for j := 0; j < w; j++ {
 		c := ctx
 		if colCtx != nil && colCtx[j] != nil {
@@ -178,28 +67,25 @@ func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs,
 		}
 	}
 
-	op, ok := sys.(*sparse.ProjectedOperator)
-	if !ok {
-		st.callerProj.Inner = sys
-		op = &st.callerProj
-	}
-
 	mark := st.ws.Mark()
 	defer st.ws.Release(mark)
-	rhs := headers(&st.outerRHS, w)
+	st.y = st.ws.Take()
+	rhs := st.rhs[:0]
 	for j := 0; j < w; j++ {
-		rhs[j] = st.ws.Take()
-		copy(rhs[j], bs[j])
-		vecmath.CenterMean(rhs[j])
+		b := st.ws.Take()
+		copy(b, bs[j])
+		vecmath.CenterMean(b)
+		rhs = append(rhs, b)
 		vecmath.Zero(xs[j])
 	}
-	err := sparse.BlockFlexibleCG(ctx, op, sparse.BlockSpec{
+	st.rhs = rhs
+	err := sparse.BlockCG(ctx, op, sparse.BlockSpec{
 		X: xs, B: rhs, ColCtx: colCtx, Out: out,
-	}, st, st.ws, &st.outerSC, eff)
+	}, st, st.ws, &st.sc, eff)
 	for j := 0; j < w; j++ {
 		vecmath.CenterMean(xs[j])
 		st.spans[j].SetAttr(trace.AttrIterations, int64(out[j].Iterations))
-		st.spans[j].SetAttr(trace.AttrInnerUses, int64(st.applications))
+		st.spans[j].SetAttr(trace.AttrPrecondApplies, int64(st.applications))
 		st.spans[j].End()
 	}
 	return st.applications, err

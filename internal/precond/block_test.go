@@ -13,8 +13,8 @@ import (
 
 // TestSolveBlockMatchesSolve: every column of a blocked preconditioned
 // solve must agree with an independent Solve of that column — the lockstep
-// recurrences (outer flexible CG and the truncated blocked inner solves)
-// are per-column independent, so the agreement is bit-for-bit.
+// CG recurrences and the per-column factor sweeps are independent, so the
+// agreement is bit-for-bit.
 func TestSolveBlockMatchesSolve(t *testing.T) {
 	g, h := testPair(t, 10, 10)
 	n := g.NumNodes()

@@ -3,6 +3,7 @@ package precond
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/obs/trace"
@@ -12,51 +13,59 @@ import (
 )
 
 // Factorization is the reusable, immutable half of a sparsifier
-// preconditioner: the frozen CSR view of H, its projected operator and
-// Jacobi diagonal, and the engine-level solve defaults. Building it is the
-// expensive part (O(N+E) CSR assembly); everything it holds is read-only
-// afterwards, so one Factorization can back any number of concurrent
+// preconditioner: the grounded LDLᵀ factor of L_H and the engine-level
+// solve defaults. Building it is the expensive part (CSR assembly plus the
+// elimination); everything it holds is read-only afterwards, so one Factorization can back any number of concurrent
 // solves. The service layer builds one per snapshot generation and keys its
 // cache on that generation, which is how repeated solves against an
 // unchanged graph skip re-factorization.
 //
-// Per-call mutable state (scratch workspace, counters) lives in a pooled
-// solveState checked out for the duration of each Solve, so warm solves
-// allocate nothing.
+// Per-call mutable state (scratch workspace, counters, spans) lives in a
+// pooled solveState checked out for the duration of each solve, so warm
+// solves allocate nothing.
 type Factorization struct {
 	n    int
-	hop  *sparse.LapOperator
-	proj *sparse.ProjectedOperator
+	h    *graph.Graph
+	chol *ldl           // nil when the fill cap tripped: solves use G's Jacobi
+	jac  *sparse.Jacobi // H's diagonal, set with chol == nil (see begin)
 	opts solver.Options // defaults applied; Workers frozen here
 	sp   statePool
-	bp   blockStatePool // blocked solve states (SolveBlock)
+
+	hopOnce sync.Once
+	hop     *sparse.LapOperator // built on first Operator call
 }
 
-// Factorize freezes the sparsifier h into a reusable preconditioner
-// factorization. opts supplies the engine-level defaults every solve
-// against this factorization starts from — in particular InnerTol /
-// InnerIters for the truncated inner solve and Workers for parallel
-// Laplacian application (frozen at factorize time; per-request Workers
-// overrides are ignored on shared factorizations because the operator is
-// shared across concurrent solves).
+// Factorize is FactorizeFor with H's own edge count standing in for
+// |E_G|, for callers that have no system graph at hand.
 func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
+	return FactorizeFor(h, h.NumEdges(), opts)
+}
+
+// FactorizeFor freezes the sparsifier h into a reusable preconditioner: it
+// eliminates L_H by minimum degree (see eliminate) unless the factor would
+// hold more than maxFillRatio·systemEdges entries, in which case solves
+// fall back to the system operator's Jacobi diagonal under the same CG
+// loop. systemEdges is |E_G| of the graph the factorization will
+// precondition. opts supplies the engine-level defaults every solve
+// against this factorization starts from; its Workers and Format configure
+// the operator Operator builds. Solves run on the system operator's own
+// parallelism, so per-request Workers overrides have no effect here.
+func FactorizeFor(h *graph.Graph, systemEdges int, opts solver.Options) (*Factorization, error) {
 	if h.NumNodes() == 0 {
 		return nil, fmt.Errorf("precond: empty sparsifier")
 	}
-	hop := sparse.NewLapOperator(h)
-	hop.SetWorkers(opts.Workers)
-	hop.SetFormat(opts.Format)
+	csr := graph.NewCSR(h)
 	f := &Factorization{
 		n:    h.NumNodes(),
-		hop:  hop,
-		proj: &sparse.ProjectedOperator{Inner: hop},
+		h:    h,
+		chol: eliminate(csr, maxFillRatio*systemEdges),
 		opts: opts.WithDefaults(h.NumNodes()),
+	}
+	if f.chol == nil {
+		f.jac = sparse.NewJacobi(csr.Degree)
 	}
 	f.sp.p.New = func() any {
 		return &solveState{f: f, ws: solver.NewWorkspace(f.n)}
-	}
-	f.bp.p.New = func() any {
-		return &blockSolveState{f: f, ws: solver.NewWorkspace(f.n)}
 	}
 	return f, nil
 }
@@ -64,26 +73,41 @@ func Factorize(h *graph.Graph, opts solver.Options) (*Factorization, error) {
 // Dim returns the node count of the factorized sparsifier.
 func (f *Factorization) Dim() int { return f.n }
 
+// FactorNNZ returns the number of off-diagonal entries in the factor of
+// L_H, or 0 when the fill cap tripped and solves run Jacobi-PCG instead.
+func (f *Factorization) FactorNNZ() int {
+	if f.chol == nil {
+		return 0
+	}
+	return f.chol.nnz()
+}
+
 // Operator returns the frozen Laplacian operator of the factorized
-// sparsifier. Callers may inspect its format/arena stats or install an
-// SpMV observer before the factorization is shared; the operator itself is
-// read-only.
-func (f *Factorization) Operator() *sparse.LapOperator { return f.hop }
+// sparsifier, with the factorization's Workers and Format, building it on
+// the first call. Solves never apply it — the factor replaces it — so only
+// callers that time or inspect H's SpMV pay for it.
+func (f *Factorization) Operator() *sparse.LapOperator {
+	f.hopOnce.Do(func() {
+		f.hop = sparse.NewLapOperator(f.h)
+		f.hop.SetWorkers(f.opts.Workers)
+		f.hop.SetFormat(f.opts.Format)
+	})
+	return f.hop
+}
 
 // Options returns the factorization's effective (defaults-applied) options.
 func (f *Factorization) Options() solver.Options { return f.opts }
 
-// Solve runs flexible CG on sys x = b preconditioned by truncated inner
-// solves of L_H. b is mean-centered internally (Laplacian systems are only
-// consistent on the complement of ones); the solution written into x is
-// mean-zero. sys must have dimension Dim; if it is not already a
+// Solve runs conjugate gradients on sys x = b preconditioned by exact
+// solves with L_H. b is mean-centered internally (Laplacian systems are
+// only consistent on the complement of ones); the solution written into x
+// is mean-zero. sys must have dimension Dim; if it is not already a
 // *sparse.ProjectedOperator it is projected in place without allocating.
 //
 // opts overrides the factorization defaults field-wise for this request
-// (Tol, MaxIter, InnerTol, InnerIters; Workers is frozen — see Factorize).
-// ctx aborts the outer loop (and truncates the inner solve) within one
-// iteration of cancellation, returning partial stats alongside a
-// solver.ErrCancelled-wrapped error.
+// (Tol, MaxIter; Workers is the system operator's — see FactorizeFor). ctx aborts the
+// solve within one iteration of cancellation, returning partial stats
+// alongside a solver.ErrCancelled-wrapped error.
 //
 // Safe for any number of concurrent callers; each call checks a private
 // solve state out of the factorization's pool.
@@ -101,29 +125,22 @@ func (f *Factorization) Solve(ctx context.Context, sys sparse.Operator, x, b []f
 
 	st := f.sp.get()
 	defer f.sp.put(st)
-	st.ctx = ctx
-	st.inner = eff.Inner()
-	st.applications = 0
-	st.span = trace.FromContext(ctx).StartChild(trace.SpanSolveOuter)
-
-	op, ok := sys.(*sparse.ProjectedOperator)
-	if !ok {
-		st.callerProj.Inner = sys
-		op = &st.callerProj
-	}
+	op := st.begin(sys)
+	st.spans[0] = trace.FromContext(ctx).StartChild(trace.SpanSolveOuter)
 
 	mark := st.ws.Mark()
 	defer st.ws.Release(mark)
+	st.y = st.ws.Take()
 	rhs := st.ws.Take()
 	copy(rhs, b)
 	vecmath.CenterMean(rhs)
 	vecmath.Zero(x)
-	res, err := sparse.FlexibleCG(ctx, op, x, rhs, st, st.ws, eff)
+	res, err := sparse.CG(ctx, op, x, rhs, st, st.ws, eff)
 	vecmath.CenterMean(x)
-	st.span.SetAttr(trace.AttrIterations, int64(res.Iterations))
-	st.span.SetAttr(trace.AttrInnerUses, int64(st.applications))
-	st.span.End()
-	return SolveResult{Outer: res, InnerUses: st.applications}, err
+	st.spans[0].SetAttr(trace.AttrIterations, int64(res.Iterations))
+	st.spans[0].SetAttr(trace.AttrPrecondApplies, int64(st.applications))
+	st.spans[0].End()
+	return SolveResult{Outer: res, PrecondUses: st.applications}, err
 }
 
 // SolveGraph is Solve against a one-shot graph G: it freezes G's Laplacian

@@ -88,7 +88,7 @@ func TestFactorizationConcurrentSolves(t *testing.T) {
 					t.Errorf("concurrent solve failed: %v (converged=%v)", err, res.Outer.Converged)
 					return
 				}
-				if res.InnerUses <= 0 {
+				if res.PrecondUses <= 0 {
 					t.Errorf("preconditioner was never applied")
 					return
 				}

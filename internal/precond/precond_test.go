@@ -63,7 +63,7 @@ func TestSolveCorrectness(t *testing.T) {
 	if vecmath.Norm2(lx) > 1e-7*vecmath.Norm2(b) {
 		t.Fatalf("residual %v", vecmath.Norm2(lx))
 	}
-	if res.InnerUses == 0 {
+	if res.PrecondUses == 0 {
 		t.Fatal("preconditioner never used")
 	}
 }
@@ -92,8 +92,8 @@ func TestSparsifierPrecondBeatsJacobi(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sparsifier-preconditioned FCG.
-	p, err := Factorize(init.H, solver.Options{InnerIters: 30})
+	// Sparsifier-preconditioned CG.
+	p, err := Factorize(init.H, solver.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,49 +108,19 @@ func TestSparsifierPrecondBeatsJacobi(t *testing.T) {
 	}
 }
 
-func TestFlexibleCGZeroRHS(t *testing.T) {
+func TestSolveZeroRHS(t *testing.T) {
 	g := grid(4, 4)
-	op := &sparse.ProjectedOperator{Inner: sparse.NewLapOperator(g)}
+	p, err := Factorize(g, solver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := make([]float64, g.NumNodes())
 	vecmath.Fill(x, 3)
-	res, err := sparse.FlexibleCG(context.Background(), op, x, make([]float64, g.NumNodes()), nil, nil, solver.Options{})
-	if err != nil || !res.Converged {
+	res, err := p.SolveGraph(context.Background(), g, x, make([]float64, g.NumNodes()), solver.Options{})
+	if err != nil || !res.Outer.Converged {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
 	if vecmath.Norm2(x) != 0 {
 		t.Fatal("zero rhs must give zero solution")
-	}
-}
-
-func TestFlexibleCGMatchesCGUnpreconditioned(t *testing.T) {
-	g := grid(8, 8)
-	op := &sparse.ProjectedOperator{Inner: sparse.NewLapOperator(g)}
-	n := g.NumNodes()
-	b := make([]float64, n)
-	vecmath.NewRNG(4).FillNormal(b)
-	vecmath.CenterMean(b)
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
-	r1, err1 := sparse.CG(context.Background(), op, x1, b, nil, nil, solver.Options{Tol: 1e-10})
-	r2, err2 := sparse.FlexibleCG(context.Background(), op, x2, b, nil, nil, solver.Options{Tol: 1e-10})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v %v", err1, err2)
-	}
-	if !r1.Converged || !r2.Converged {
-		t.Fatal("both must converge")
-	}
-	// Same solution up to tolerance.
-	for i := range x1 {
-		if d := x1[i] - x2[i]; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("solutions differ at %d", i)
-		}
-	}
-}
-
-func TestFlexibleCGDimensionError(t *testing.T) {
-	g := grid(3, 3)
-	op := sparse.NewLapOperator(g)
-	if _, err := sparse.FlexibleCG(context.Background(), op, make([]float64, 2), make([]float64, 9), nil, nil, solver.Options{}); err == nil {
-		t.Fatal("expected dimension error")
 	}
 }

@@ -116,7 +116,7 @@ func (e *Engine) execGroup(snap *Snapshot, reqs []*batch.Req) {
 		r.Iterations = cr.Iterations
 		r.Residual = cr.Residual
 		r.Converged = cr.Converged
-		r.InnerUses = bst.InnerUses
+		r.PrecondUses = bst.PrecondUses
 		r.Err = cr.Err
 		if r.Kind == batch.KindPair && cr.Err == nil {
 			r.Resistance = gs.xs[i][r.U] - gs.xs[i][r.V]
@@ -166,7 +166,7 @@ func (e *Engine) SolveCoalesced(ctx context.Context, snap *Snapshot, x, b []floa
 		Iterations:  r.Iterations,
 		Residual:    r.Residual,
 		Converged:   r.Converged,
-		PrecondUses: r.InnerUses,
+		PrecondUses: r.PrecondUses,
 	}
 	return st, r.Err
 }

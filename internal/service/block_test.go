@@ -45,7 +45,7 @@ func TestSolveBlockIntoMatchesSolveInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bst.Generation != snap.Gen || bst.InnerUses == 0 {
+	if bst.Generation != snap.Gen || bst.PrecondUses == 0 {
 		t.Fatalf("block stats: %+v", bst)
 	}
 	for j := 0; j < w; j++ {

@@ -30,7 +30,7 @@ func (e *Engine) initHistograms(reg *obs.Registry) {
 	e.stats.blockDur = reg.Histogram("ingrass_solve_block_duration_seconds",
 		"wall-clock latency of blocked multi-RHS solve executions", obs.ScaleSeconds)
 	e.stats.solveIterH = reg.Histogram("ingrass_solve_iterations",
-		"outer FCG iterations per solve column", obs.ScaleNone)
+		"PCG iterations per solve column", obs.ScaleNone)
 	blockFill := reg.Histogram("ingrass_batch_block_fill",
 		"right-hand sides per executed blocked group", obs.ScaleNone)
 	e.opts.Batch.OnGroup = func(w int) { blockFill.Observe(int64(w)) }
@@ -53,7 +53,7 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 		reg.CounterFunc(name, help, func() float64 { return float64(load()) }, labels...)
 	}
 	ctr("ingrass_solves_total", "completed Laplacian solve columns", e.stats.solves.Load)
-	ctr("ingrass_solve_iterations_total", "cumulative outer FCG iterations", e.stats.solveIters.Load)
+	ctr("ingrass_solve_iterations_total", "cumulative PCG iterations", e.stats.solveIters.Load)
 	ctr("ingrass_solve_failures_total", "solves by failure mode",
 		e.stats.solveNoConv.Load, obs.Label{Key: "mode", Value: "no_convergence"})
 	ctr("ingrass_solve_failures_total", "solves by failure mode",
@@ -102,7 +102,7 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 		func() float64 { return float64(e.stats.maintLastGen.Load()) })
 	reg.GaugeFunc("ingrass_maintenance_target_cond", "target condition number of the current setup basis (density knob position)",
 		func() float64 { return math.Float64frombits(e.stats.maintTargetCond.Load()) })
-	reg.GaugeFunc("ingrass_maintenance_iteration_trend", "mean outer FCG iterations per solve over the latest evaluation window",
+	reg.GaugeFunc("ingrass_maintenance_iteration_trend", "mean PCG iterations per solve over the latest evaluation window",
 		func() float64 { return math.Float64frombits(e.stats.maintIterTrend.Load()) })
 	reg.GaugeFunc("ingrass_maintenance_kappa", "latest periodic condition-number estimate",
 		func() float64 { return math.Float64frombits(e.stats.maintKappa.Load()) })

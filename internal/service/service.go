@@ -60,7 +60,7 @@ type Options struct {
 	// Default 4.
 	Retain int
 	// Solver is the engine-level solve default set: it configures every
-	// per-snapshot preconditioner factorization (inner tolerances, worker
+	// per-snapshot preconditioner factorization (tolerances, worker
 	// counts) and is the base that per-request options override.
 	Solver solver.Options
 	// Store, when non-nil, makes the engine durable: each applied batch is

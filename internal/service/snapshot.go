@@ -59,13 +59,9 @@ func (s *Snapshot) ensureFactorized() error {
 		}
 		s.gop = gop
 		s.proj = &sparse.ProjectedOperator{Inner: gop}
-		s.fact, s.factErr = precond.Factorize(s.H, s.sopts)
+		s.fact, s.factErr = precond.FactorizeFor(s.H, s.G.NumEdges(), s.sopts)
 		if s.factErr == nil {
-			hop := s.fact.Operator()
-			if f := s.stats.spmvObserver(hop.Format()); f != nil {
-				hop.SetSpMVObserver(f)
-			}
-			s.stats.noteOperators(gop, hop)
+			s.stats.noteOperator(gop)
 		}
 		s.stats.precondBuilds.Add(1)
 	})
@@ -85,7 +81,7 @@ type SolveStats struct {
 }
 
 // SolveInto computes x = L_G^+ b against this snapshot via sparsifier-
-// preconditioned flexible CG, writing the solution into the caller-provided
+// preconditioned CG, writing the solution into the caller-provided
 // x. It is safe to call from any number of goroutines; each call checks a
 // pooled, goroutine-confined solve state out of the shared factorization,
 // so the warm path allocates nothing. opts overrides the engine solve
@@ -108,7 +104,7 @@ func (s *Snapshot) SolveInto(ctx context.Context, x, b []float64, opts solver.Op
 		Iterations:  res.Outer.Iterations,
 		Residual:    res.Outer.Residual,
 		Converged:   res.Outer.Converged,
-		PrecondUses: res.InnerUses,
+		PrecondUses: res.PrecondUses,
 	}
 	s.stats.solves.Add(1)
 	s.stats.solveIters.Add(uint64(res.Outer.Iterations))
@@ -121,16 +117,16 @@ func (s *Snapshot) SolveInto(ctx context.Context, x, b []float64, opts solver.Op
 // BlockSolveStats reports the group-level outcome of one blocked solve.
 type BlockSolveStats struct {
 	Generation uint64
-	// InnerUses counts blocked preconditioner applications — each one is a
-	// truncated inner solve shared by the whole active column set.
-	InnerUses int
+	// PrecondUses counts blocked preconditioner applications — each one
+	// sweeps the factor once per active column.
+	PrecondUses int
 }
 
 // SolveBlockInto computes x[j] = L_G^+ b[j] for a whole block of right-hand
-// sides in one blocked flexible-CG solve against this snapshot: the CSR
-// structures of G and H are traversed once per iteration for all columns
-// instead of once per column, which is where the batched query engine's
-// throughput comes from. Per-column outcomes land in out; colCtx optionally
+// sides in one blocked PCG solve against this snapshot: G's CSR structure
+// is traversed once per iteration for all columns instead of once per
+// column, which is where the batched query engine's throughput comes
+// from. Per-column outcomes land in out; colCtx optionally
 // cancels single columns (masked without aborting the group — see
 // sparse.BlockSpec). Column j's result is bit-identical to an independent
 // SolveInto of b[j] with the same options.
@@ -154,7 +150,7 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 		return BlockSolveStats{}, err
 	}
 	start := time.Now()
-	inner, err := s.fact.SolveBlock(ctx, s.proj, xs, bs, out, colCtx, opts)
+	uses, err := s.fact.SolveBlock(ctx, s.proj, xs, bs, out, colCtx, opts)
 	elapsed := time.Since(start)
 	s.stats.blockDur.Observe(int64(elapsed))
 	for j := 0; j < w; j++ {
@@ -171,7 +167,7 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 		}
 		s.stats.recordSolveOutcome(cerr)
 	}
-	return BlockSolveStats{Generation: s.Gen, InnerUses: inner}, err
+	return BlockSolveStats{Generation: s.Gen, PrecondUses: uses}, err
 }
 
 // Solve is SolveInto with a freshly allocated solution vector.

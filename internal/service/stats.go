@@ -78,7 +78,7 @@ type Stats struct {
 	// a few predicted branches.
 	solveDur   *obs.Histogram // per single-RHS solve, ns
 	blockDur   *obs.Histogram // per blocked multi-RHS execution, ns
-	solveIterH *obs.Histogram // outer FCG iterations per solve column
+	solveIterH *obs.Histogram // PCG iterations per solve column
 
 	// Per-format SpMV duration histograms; frozen operators of each format
 	// feed their own series, so /metrics attributes kernel time to the
@@ -106,14 +106,13 @@ func (s *Stats) noteMaintTrigger(r MaintReason) {
 	}
 }
 
-// noteOperators records the frozen shape of a generation's operators after
+// noteOperator records the frozen shape of a generation's G operator after
 // factorization.
-func (s *Stats) noteOperators(gop, hop *sparse.LapOperator) {
+func (s *Stats) noteOperator(gop *sparse.LapOperator) {
 	s.opFormat.Store(uint32(gop.Format()))
 	s.opPadding.Store(math.Float64bits(gop.PaddingRatio()))
-	_, gr, _ := gop.ArenaStats()
-	_, hr, _ := hop.ArenaStats()
-	s.arenaBytes.Store(uint64(gr + hr))
+	_, reserved, _ := gop.ArenaStats()
+	s.arenaBytes.Store(uint64(reserved))
 }
 
 // spmvObserver returns the SpMV wall-time observer for operators frozen in
@@ -151,7 +150,7 @@ type StatsView struct {
 	// Generation is the snapshot generation currently being served.
 	Generation uint64 `json:"generation"`
 	// Solves counts completed Laplacian solves; SolveIters their total
-	// outer FCG iterations.
+	// PCG iterations.
 	Solves     uint64 `json:"solves"`
 	SolveIters uint64 `json:"solve_iters"`
 	// PrecondBuilds counts preconditioner factorizations; PrecondReuses
@@ -186,7 +185,8 @@ type StatsView struct {
 	// OperatorFormat names the frozen sparse layout ("csr" or "sell") of the
 	// generation currently served; OperatorPaddingRatio its SELL padding
 	// fraction (0 for CSR) and OperatorArenaBytes the arena bytes reserved
-	// across the G and H operators (0 when CSR-frozen).
+	// by the G operator (0 when CSR-frozen; H is factored, not frozen as an
+	// operator).
 	OperatorFormat       string  `json:"operator_format"`
 	OperatorPaddingRatio float64 `json:"operator_padding_ratio"`
 	OperatorArenaBytes   uint64  `json:"operator_arena_bytes"`

@@ -94,16 +94,16 @@ func TestWarmSolveAllocationFreeTracingOn(t *testing.T) {
 	}
 	// The solves above must actually have recorded solve spans (the gate is
 	// meaningless if the traced path silently no-opped).
-	var outer, inner int
+	var outer, applies int
 	for _, s := range ts.Spans {
 		switch s.Name {
 		case "solve_outer":
 			outer++
-		case "solve_inner":
-			inner++
+		case "precond_apply":
+			applies++
 		}
 	}
-	if outer == 0 || inner == 0 {
-		t.Fatalf("traced solves recorded %d outer / %d inner spans, want both > 0", outer, inner)
+	if outer == 0 || applies == 0 {
+		t.Fatalf("traced solves recorded %d outer / %d precond_apply spans, want both > 0", outer, applies)
 	}
 }

@@ -8,7 +8,7 @@
 // point:
 //
 //   - a context.Context (cancellation / deadline, checked once per
-//     iteration by CG, flexible CG, and Lanczos),
+//     iteration by CG, blocked CG, and Lanczos),
 //   - an Options value (tolerances, iteration budgets, worker counts),
 //   - a *Workspace checked out from a Pool owned by the long-lived
 //     operator or factorization the solve runs against.
@@ -51,11 +51,10 @@ func CheckCancel(ctx context.Context) error {
 }
 
 // Options is the one knob set for the whole solver stack. A zero value
-// means "all defaults". The same struct configures the outer solve (Tol,
-// MaxIter), the preconditioner's truncated inner solve (InnerTol,
-// InnerIters), and operator parallelism (Workers), so a request body like
-// {"tol": 1e-6, "max_iter": 500} reaches the innermost loop without
-// translation layers.
+// means "all defaults". The same struct configures the solve (Tol,
+// MaxIter) and operator parallelism and layout (Workers, Format), so a
+// request body like {"tol": 1e-6, "max_iter": 500} reaches the CG loop
+// without translation layers.
 type Options struct {
 	// Tol is the relative residual target ||r|| <= Tol*||b||. Default 1e-8.
 	Tol float64
@@ -63,12 +62,12 @@ type Options struct {
 	// [50, 20000] is derived; an explicit caller-supplied value is used
 	// verbatim and never clamped.
 	MaxIter int
-	// InnerTol is the relative-residual target of the preconditioner's
-	// truncated inner solve. Default 1e-2 — the outer flexible CG tolerates
-	// loose inner solves.
-	InnerTol float64
-	// InnerIters caps the inner solve's iterations per preconditioner
-	// application. Default 25.
+	// InnerTol and InnerIters (defaults 1e-2 and 25) configure a truncated
+	// Jacobi-PCG on the sparsifier. No solve path reads them: the
+	// preconditioner is an exact factorization. They remain only for the
+	// per-layer probe in perfbench, which times such a truncated solve
+	// through Inner.
+	InnerTol   float64
 	InnerIters int
 	// Workers bounds goroutines for parallel operator application; 0 means
 	// serial. It is honored at operator/factorization construction time:
@@ -170,9 +169,10 @@ func (o Options) Override(req Options) Options {
 	return o
 }
 
-// Inner derives the option set for the preconditioner's truncated inner
-// solve. Call it on an Options that already has defaults applied, so
-// InnerIters/InnerTol are set.
+// Inner derives the option set of a truncated Jacobi-PCG on the
+// sparsifier (see InnerTol). Only the perfbench probe calls it. Call it on
+// an Options that already has defaults applied, so InnerIters/InnerTol are
+// set.
 func (o Options) Inner() Options {
 	return Options{Tol: o.InnerTol, MaxIter: o.InnerIters, Workers: o.Workers, Format: o.Format}
 }

@@ -23,11 +23,9 @@ type BlockOperator interface {
 	ApplyBlock(dst, x [][]float64)
 }
 
-// BlockPreconditioner applies an SPD-like map dst[j] = M^{-1} src[j] to
-// every column of a block. The blocked flexible CG hands its whole active
-// column set to one application, which is what lets an iterative
-// preconditioner (precond's truncated inner solve) amortize its own SpMVs
-// across the block.
+// BlockPreconditioner applies a fixed SPD map dst[j] = M^{-1} src[j] to
+// every column of a block. BlockCG hands its whole active column set to one
+// application.
 type BlockPreconditioner interface {
 	PrecondBlock(dst, src [][]float64)
 }
@@ -38,8 +36,8 @@ type BlockPreconditioner interface {
 // cancel, so positional indices alone lose column identity. The blocked
 // solvers call SetActiveColumns immediately before each application with
 // the original column index of each active position; the slice is only
-// valid for the duration of that application. precond's blocked state uses
-// this to attribute inner-solve trace spans to the right request.
+// valid for the duration of that application. precond's solve state uses
+// this to attribute preconditioner-apply trace spans to the right request.
 type ActiveColumnsAware interface {
 	SetActiveColumns(cols []int)
 }
@@ -347,162 +345,6 @@ func BlockCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPrecondit
 		for i := 0; i < m; i++ {
 			sc.beta[i] = sc.s1[i] / sc.rz[i]
 			sc.rz[i] = sc.s1[i]
-		}
-		kp.XPBYIntoMulti(sc.p[:m], sc.z[:m], sc.beta[:m])
-	}
-	for i := 0; i < m; i++ {
-		spec.Out[sc.col[i]].Err = ErrNoConvergence
-	}
-	return nil
-}
-
-// BlockFlexibleCG is the blocked counterpart of FlexibleCG: flexible
-// (Polak-Ribiere) preconditioned conjugate gradients over a block of
-// right-hand sides in lockstep, tolerating an inexact, iteration-varying
-// preconditioner — and handing that preconditioner the whole active column
-// set per application, so a truncated inner solve (precond.SolveBlock's
-// inner BlockCG) traverses its sparsifier CSR once per inner iteration for
-// the entire block. Column independence, masking, and context semantics
-// match BlockCG; a width-1 block is bit-identical to FlexibleCG.
-func BlockFlexibleCG(ctx context.Context, a Operator, spec BlockSpec, pre BlockPreconditioner, ws *solver.Workspace, sc *BlockScratch, opts solver.Options) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w, err := checkBlock("BlockFlexibleCG", a, spec)
-	if err != nil {
-		return err
-	}
-	if w == 0 {
-		return nil
-	}
-	if err := solver.CheckCancel(ctx); err != nil {
-		for j := range spec.Out {
-			spec.Out[j] = ColumnResult{Err: err}
-		}
-		return err
-	}
-	o := opts.WithDefaults(a.Dim())
-	kp := KernelsOf(a)
-	apply := blockApply(a)
-	if ws == nil {
-		ws = solver.NewWorkspace(a.Dim())
-	}
-	if sc == nil {
-		sc = &BlockScratch{}
-	}
-	sc.ensure(w)
-
-	colsAware, _ := pre.(ActiveColumnsAware)
-	applyPre := func(dst, src [][]float64, cols []int) {
-		if pre != nil {
-			if colsAware != nil {
-				colsAware.SetActiveColumns(cols)
-			}
-			pre.PrecondBlock(dst, src)
-		} else {
-			for j := range dst {
-				copy(dst[j], src[j])
-			}
-		}
-	}
-
-	mark := ws.Mark()
-	defer ws.Release(mark)
-
-	m := enterBlock(a, spec, ws, sc, o.Tol, false)
-	if m == 0 {
-		return nil
-	}
-
-	applyPre(sc.z[:m], sc.r[:m], sc.col[:m])
-	for i := 0; i < m; i++ {
-		copy(sc.p[i], sc.z[i])
-	}
-	kp.DotNormMulti(sc.z[:m], sc.r[:m], sc.rz[:m], sc.rnSq[:m])
-	for i := m - 1; i >= 0; i-- {
-		rn := math.Sqrt(sc.rnSq[i])
-		out := &spec.Out[sc.col[i]]
-		out.Residual = rn / sc.normB[i]
-		if rn <= sc.target[i] {
-			out.Converged = true
-			m = sc.drop(i, m)
-		}
-	}
-
-	for k := 0; k < o.MaxIter && m > 0; k++ {
-		if err := solver.CheckCancel(ctx); err != nil {
-			failBlock(spec, sc, m, err)
-			return err
-		}
-		if m = maskCancelled(spec, sc, m); m == 0 {
-			break
-		}
-		apply(sc.ap[:m], sc.p[:m])
-		kp.DotMulti(sc.p[:m], sc.ap[:m], sc.s1[:m])
-		for i := m - 1; i >= 0; i-- {
-			pap := sc.s1[i]
-			if pap <= 0 || math.IsNaN(pap) {
-				out := &spec.Out[sc.col[i]]
-				out.Iterations = k
-				out.Residual = math.Sqrt(sc.rnSq[i]) / sc.normB[i]
-				// A cancellation landing inside the iterative preconditioner
-				// leaves a degenerate direction; classify it as cancellation,
-				// not breakdown (mirrors FlexibleCG).
-				if c := sc.cctx[i]; c != nil && solver.CheckCancel(c) != nil {
-					out.Err = solver.CheckCancel(c)
-				} else if err := solver.CheckCancel(ctx); err != nil {
-					out.Err = err
-				} else {
-					out.Err = fmt.Errorf("sparse: BlockFlexibleCG breakdown, p'Ap = %g at iteration %d (column %d)", pap, k, sc.col[i])
-				}
-				m = sc.drop(i, m)
-				continue
-			}
-			sc.alpha[i] = sc.rz[i] / pap
-		}
-		if m == 0 {
-			break
-		}
-		kp.AXPY2Multi(sc.x[:m], sc.r[:m], sc.alpha[:m], sc.p[:m], sc.ap[:m], sc.rnSq[:m])
-		for i := m - 1; i >= 0; i-- {
-			rn := math.Sqrt(sc.rnSq[i])
-			out := &spec.Out[sc.col[i]]
-			out.Iterations = k + 1
-			out.Residual = rn / sc.normB[i]
-			if rn <= sc.target[i] {
-				out.Converged = true
-				m = sc.drop(i, m)
-			}
-		}
-		if m == 0 {
-			break
-		}
-		applyPre(sc.z[:m], sc.r[:m], sc.col[:m])
-		// Polak-Ribiere per column: r - rPrev = -alpha*ap by construction,
-		// so beta = -alpha * z'ap / (z_prev' r_prev) — one fused pass yields
-		// both products (mirrors FlexibleCG's reduction).
-		kp.Dot2Multi(sc.z[:m], sc.ap[:m], sc.r[:m], sc.s1[:m], sc.s2[:m])
-		for i := m - 1; i >= 0; i-- {
-			beta := -sc.alpha[i] * sc.s1[i] / sc.rz[i]
-			if beta < 0 {
-				beta = 0 // restart direction on loss of conjugacy
-			}
-			sc.beta[i] = beta
-			sc.rz[i] = sc.s2[i]
-			if sc.rz[i] <= 0 || math.IsNaN(sc.rz[i]) {
-				out := &spec.Out[sc.col[i]]
-				if c := sc.cctx[i]; c != nil && solver.CheckCancel(c) != nil {
-					out.Err = solver.CheckCancel(c)
-				} else if err := solver.CheckCancel(ctx); err != nil {
-					out.Err = err
-				} else {
-					out.Err = fmt.Errorf("sparse: BlockFlexibleCG preconditioner not positive at iteration %d (column %d)", k, sc.col[i])
-				}
-				m = sc.drop(i, m)
-			}
-		}
-		if m == 0 {
-			break
 		}
 		kp.XPBYIntoMulti(sc.p[:m], sc.z[:m], sc.beta[:m])
 	}

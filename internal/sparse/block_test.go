@@ -92,33 +92,6 @@ func TestBlockCGWidthOneBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBlockFlexibleCGWidthOneBitIdentical pins the same property for the
-// flexible variant (the outer loop of every preconditioned service solve).
-func TestBlockFlexibleCGWidthOneBitIdentical(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		g := randomConnectedGraph(seed, 50, 70)
-		op := NewLapOperator(g)
-		proj := &ProjectedOperator{Inner: op}
-		b := blockRHS(g.NumNodes(), 1, seed+10)[0]
-		opts := solver.Options{Tol: 1e-9}
-
-		xF := make([]float64, g.NumNodes())
-		res, _ := FlexibleCG(context.Background(), proj, xF, b, op.Jacobi(), nil, opts)
-
-		xBlk := zeroBlock(g.NumNodes(), 1)
-		out := make([]ColumnResult, 1)
-		if err := BlockFlexibleCG(context.Background(), proj, BlockSpec{X: xBlk, B: [][]float64{b}, Out: out}, op.Jacobi(), nil, nil, opts); err != nil {
-			t.Fatalf("seed %d: BlockFlexibleCG: %v", seed, err)
-		}
-		if !bitsEqual(xF, xBlk[0]) {
-			t.Fatalf("seed %d: width-1 flexible iterate differs from FlexibleCG", seed)
-		}
-		if out[0].Iterations != res.Iterations || out[0].Converged != res.Converged {
-			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, res, out[0])
-		}
-	}
-}
-
 // TestBlockCGMaskedMatchesIndependent is the masking property: columns of a
 // blocked solve with per-column convergence masking must match independent
 // single-vector solves within tolerance. (The lockstep recurrences are

@@ -74,39 +74,9 @@ func TestCGCancelMidSolve(t *testing.T) {
 	}
 }
 
-func TestFlexibleCGCancelMidSolve(t *testing.T) {
-	op, b := slowGrid(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	co := &cancellingOperator{inner: op, cancel: cancel, at: 4}
-	x := make([]float64, op.Dim())
-	res, err := FlexibleCG(ctx, co, x, b, nil, nil, solver.Options{Tol: 1e-14})
-	if !errors.Is(err, solver.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
-	}
-	if res.Iterations > 4 {
-		t.Fatalf("FlexibleCG ran %d iterations past a cancel at apply 4", res.Iterations)
-	}
-}
-
-func TestFlexibleCGCancelledBeforeStart(t *testing.T) {
-	op, b := slowGrid(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	x := make([]float64, op.Dim())
-	res, err := FlexibleCG(ctx, op, x, b, nil, nil, solver.Options{})
-	if !errors.Is(err, solver.ErrCancelled) {
-		t.Fatalf("want ErrCancelled, got %v", err)
-	}
-	if res.Iterations != 0 {
-		t.Fatalf("pre-cancelled FlexibleCG ran %d iterations", res.Iterations)
-	}
-}
-
-// cancellingPrecond mimics a truncated inner solve whose context is
-// cancelled mid-application: it cancels and leaves dst zeroed, exactly
-// what precond.solveState produces when the inner CG aborts before its
-// first iteration.
+// cancellingPrecond cancels the solve's context from inside an
+// application and leaves dst zeroed — a degenerate direction the solver
+// must not mistake for a breakdown.
 type cancellingPrecond struct {
 	cancel context.CancelFunc
 	at     int
@@ -125,18 +95,16 @@ func (c *cancellingPrecond) Precond(dst, src []float64) {
 	copy(dst, src)
 }
 
-// TestFlexibleCGCancelInsidePreconditioner is the regression test for the
-// misclassification bug: a cancellation landing inside the preconditioner
-// leaves z = 0, which used to surface as a spurious "preconditioner not
-// positive" breakdown (mapped to HTTP 422) instead of ErrCancelled
-// (408/499).
-func TestFlexibleCGCancelInsidePreconditioner(t *testing.T) {
+// TestCGCancelInsidePreconditioner: a cancellation landing inside the
+// preconditioner leaves z = 0; the solve must report ErrCancelled
+// (HTTP 408/499), not a breakdown (422).
+func TestCGCancelInsidePreconditioner(t *testing.T) {
 	op, b := slowGrid(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pre := &cancellingPrecond{cancel: cancel, at: 3}
 	x := make([]float64, op.Dim())
-	_, err := FlexibleCG(ctx, op, x, b, pre, nil, solver.Options{Tol: 1e-14})
+	_, err := CG(ctx, op, x, b, pre, nil, solver.Options{Tol: 1e-14})
 	if !errors.Is(err, solver.ErrCancelled) {
 		t.Fatalf("want ErrCancelled, got %v", err)
 	}

@@ -67,7 +67,7 @@ func (j *Jacobi) Precond(dst, src []float64) {
 }
 
 // PrecondBlock applies the diagonal preconditioner column-wise, so Jacobi
-// serves blocked solves (the inner loop of precond.SolveBlock) directly.
+// serves blocked solves directly.
 func (j *Jacobi) PrecondBlock(dst, src [][]float64) {
 	for c := range dst {
 		j.Precond(dst[c], src[c])

@@ -82,7 +82,7 @@ func TestSolvePairSymmetryProperty(t *testing.T) {
 	}
 }
 
-// Property: CG and FlexibleCG agree with the dense oracle on random SPD
+// Property: CG agrees with the dense oracle on random SPD
 // systems (Laplacian + small diagonal shift).
 func TestCGAgainstDenseOracleProperty(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -112,15 +112,8 @@ func TestCGAgainstDenseOracleProperty(t *testing.T) {
 		if _, err := CG(context.Background(), op, x1, b, nil, nil, solver.Options{Tol: 1e-12}); err != nil {
 			return false
 		}
-		x2 := make([]float64, 15)
-		if _, err := FlexibleCG(context.Background(), op, x2, b, nil, nil, solver.Options{Tol: 1e-12}); err != nil {
-			return false
-		}
 		for i := range want {
 			if math.Abs(x1[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-				return false
-			}
-			if math.Abs(x2[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
 				return false
 			}
 		}

@@ -58,7 +58,7 @@ type ServiceOptions struct {
 	// (default 4).
 	RetainSnapshots int
 	// Solve is the engine-level default solve option set (tolerances,
-	// iteration budgets, inner-solve knobs). Per-request SolveOptions
+	// iteration budgets, workers, format). Per-request SolveOptions
 	// override it field-wise; Workers defaults to Options.Workers and,
 	// when that is unset too, to GOMAXPROCS: per-snapshot factorizations
 	// freeze the (clamped) count and dispatch into a persistent kernel

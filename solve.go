@@ -9,23 +9,15 @@ import (
 )
 
 // SolveOptions is the request-scoped knob set for Laplacian solves. A zero
-// value means "all defaults". The same struct configures the outer flexible
-// CG (Tol, MaxIter) and the preconditioner's truncated inner solve
-// (InnerTol, InnerIters); it flows unchanged from the public API down to
-// the innermost CG loop. The HTTP layer defines its own wire struct
-// (cmd/ingrass solveRequest) because not every field is HTTP-settable.
+// value means "all defaults". It flows unchanged from the public API down
+// to the PCG loop. The HTTP layer defines its own wire struct (cmd/ingrass
+// solveRequest) because not every field is HTTP-settable.
 type SolveOptions struct {
 	// Tol is the relative residual target ||r|| <= Tol*||b||. Default 1e-8.
 	Tol float64
 	// MaxIter bounds outer iterations. 0 derives 10*n clamped to 20000; an
 	// explicit value is used verbatim, never clamped.
 	MaxIter int
-	// InnerTol is the preconditioner's inner relative-residual target.
-	// Default 1e-2.
-	InnerTol float64
-	// InnerIters caps inner iterations per preconditioner application.
-	// Default 25.
-	InnerIters int
 	// Workers bounds the parallelism of Laplacian application and the fused
 	// CG vector kernels; the count is clamped to GOMAXPROCS and dispatches
 	// into a persistent worker pool (internal/kernel), so parallel solves
@@ -46,32 +38,31 @@ type SolveOptions struct {
 func (o SolveOptions) internal() solver.Options {
 	f, _ := solver.ParseFormat(o.Format)
 	return solver.Options{
-		Tol:        o.Tol,
-		MaxIter:    o.MaxIter,
-		InnerTol:   o.InnerTol,
-		InnerIters: o.InnerIters,
-		Workers:    o.Workers,
-		Format:     f,
+		Tol:     o.Tol,
+		MaxIter: o.MaxIter,
+		Workers: o.Workers,
+		Format:  f,
 	}
 }
 
 // SolveStats reports a preconditioned Laplacian solve.
 type SolveStats struct {
-	// Iterations is the outer FCG iteration count.
+	// Iterations is the PCG iteration count.
 	Iterations int `json:"iterations"`
 	// Residual is the final relative residual.
 	Residual float64 `json:"residual"`
 	// Converged reports whether the tolerance was met.
 	Converged bool `json:"converged"`
-	// PrecondUses counts inner sparsifier solves.
+	// PrecondUses counts preconditioner applications (factor sweeps).
+	// A coalesced or batched solve reports its whole block's count.
 	PrecondUses int `json:"precond_uses"`
 	// Generation is the snapshot generation that served the solve. Only
 	// set by Service.Solve; standalone SolveLaplacian leaves it zero.
 	Generation uint64 `json:"generation"`
 }
 
-// SolveLaplacian solves the Laplacian system L_G x = b using flexible
-// conjugate gradients preconditioned by the sparsifier h — the downstream
+// SolveLaplacian solves the Laplacian system L_G x = b using conjugate
+// gradients preconditioned by an exact factorization of the sparsifier h — the downstream
 // application (fast circuit-style solves) that motivates maintaining a
 // sparsifier in the first place. b must be mean-zero up to rounding (the
 // system is singular with the constant null space); it is centered
@@ -88,7 +79,7 @@ func SolveLaplacian(ctx context.Context, g, h *Graph, b []float64, opts SolveOpt
 	if h.NumNodes() != g.NumNodes() {
 		return nil, SolveStats{}, fmt.Errorf("ingrass: sparsifier node count mismatch")
 	}
-	fact, err := precond.Factorize(h.g, opts.internal())
+	fact, err := precond.FactorizeFor(h.g, g.NumEdges(), opts.internal())
 	if err != nil {
 		return nil, SolveStats{}, err
 	}
@@ -98,7 +89,7 @@ func SolveLaplacian(ctx context.Context, g, h *Graph, b []float64, opts SolveOpt
 		Iterations:  res.Outer.Iterations,
 		Residual:    res.Outer.Residual,
 		Converged:   res.Outer.Converged,
-		PrecondUses: res.InnerUses,
+		PrecondUses: res.PrecondUses,
 	}
 	if err != nil {
 		return x, stats, err
