@@ -119,6 +119,44 @@ func TestSolveDimensionErrors(t *testing.T) {
 	}
 }
 
+// TestFlexibleCGDimensionError covers the blocked solve's structural
+// checks (the name dates from the flexible outer solver this package used
+// to drive): a wrong system dimension, mismatched widths, an over-wide
+// block and a short column are all refused before any work.
+func TestFlexibleCGDimensionError(t *testing.T) {
+	fact, err := Factorize(ring(20), solver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gop := sparse.NewLapOperator(ring(20))
+	col := func(w, n int) [][]float64 {
+		xs := make([][]float64, w)
+		for j := range xs {
+			xs[j] = make([]float64, n)
+		}
+		return xs
+	}
+	wide := sparse.MaxBlockWidth + 1
+	cases := []struct {
+		name   string
+		sys    sparse.Operator
+		xs, bs [][]float64
+		out    int
+	}{
+		{"system dim", sparse.NewLapOperator(ring(30)), col(2, 30), col(2, 30), 2},
+		{"widths", gop, col(2, 20), col(3, 20), 2},
+		{"out width", gop, col(2, 20), col(2, 20), 1},
+		{"too wide", gop, col(wide, 20), col(wide, 20), wide},
+		{"column dim", gop, [][]float64{make([]float64, 20), make([]float64, 5)}, col(2, 20), 2},
+	}
+	for _, c := range cases {
+		out := make([]sparse.ColumnResult, c.out)
+		if _, err := fact.SolveBlock(context.Background(), c.sys, c.xs, c.bs, out, nil, solver.Options{}); err == nil {
+			t.Errorf("%s: want a dimension error", c.name)
+		}
+	}
+}
+
 // TestSolveCancelledContext verifies the acceptance contract: a solve
 // issued with an already-cancelled context returns an ErrCancelled-matching
 // error without running any outer iteration.

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ingrass/internal/graph"
 	"ingrass/internal/solver"
 	"ingrass/internal/vecmath"
 )
@@ -88,6 +89,83 @@ func TestBlockCGWidthOneBitIdentical(t *testing.T) {
 						seed, workers, usePre, errCG, cr.Err)
 				}
 			}
+		}
+	}
+}
+
+// treePrecond applies the exact pseudo-inverse of a spanning tree's
+// Laplacian, held as a dense matrix: a fixed, non-diagonal, exact subgraph
+// solve of the same kind as the sparsifier factor the service installs.
+type treePrecond struct{ pinv *vecmath.Dense }
+
+func newTreePrecond(t *testing.T, g *graph.Graph) *treePrecond {
+	t.Helper()
+	n := g.NumNodes()
+	keep := make([]int, n-1)
+	for i := range keep {
+		keep[i] = i // randomConnectedGraph lays its spanning tree down first
+	}
+	tree := g.Subgraph(keep)
+	lap := vecmath.NewDense(n, n)
+	for _, e := range tree.Edges() {
+		lap.Add(e.U, e.U, e.W)
+		lap.Add(e.V, e.V, e.W)
+		lap.Add(e.U, e.V, -e.W)
+		lap.Add(e.V, e.U, -e.W)
+	}
+	pinv := vecmath.NewDense(n, n)
+	unit := make([]float64, n)
+	for j := 0; j < n; j++ {
+		unit[j] = 1
+		col, err := vecmath.PseudoInverseApply(lap, unit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit[j] = 0
+		for i, v := range col {
+			pinv.Set(i, j, v)
+		}
+	}
+	return &treePrecond{pinv: pinv}
+}
+
+func (p *treePrecond) Precond(dst, src []float64) { p.pinv.MulVec(dst, src) }
+
+func (p *treePrecond) PrecondBlock(dst, src [][]float64) {
+	for j := range src {
+		p.pinv.MulVec(dst[j], src[j])
+	}
+}
+
+// TestBlockFlexibleCGWidthOneBitIdentical pins the width-1 property for
+// the outer loop of every preconditioned service solve. That loop was once
+// a flexible CG around an inner solve; it is now BlockCG with an exact
+// subgraph preconditioner, which treePrecond stands in for here.
+func TestBlockFlexibleCGWidthOneBitIdentical(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		g := randomConnectedGraph(seed, 50, 70)
+		op := NewLapOperator(g)
+		proj := &ProjectedOperator{Inner: op}
+		pre := newTreePrecond(t, g)
+		b := blockRHS(g.NumNodes(), 1, seed+10)[0]
+		opts := solver.Options{Tol: 1e-9}
+
+		xCG := make([]float64, g.NumNodes())
+		res, err := CG(context.Background(), proj, xCG, b, pre, nil, opts)
+		if err != nil || !res.Converged {
+			t.Fatalf("seed %d: CG res=%+v err=%v", seed, res, err)
+		}
+
+		xBlk := zeroBlock(g.NumNodes(), 1)
+		out := make([]ColumnResult, 1)
+		if err := BlockCG(context.Background(), proj, BlockSpec{X: xBlk, B: [][]float64{b}, Out: out}, pre, nil, nil, opts); err != nil {
+			t.Fatalf("seed %d: BlockCG: %v", seed, err)
+		}
+		if !bitsEqual(xCG, xBlk[0]) {
+			t.Fatalf("seed %d: width-1 preconditioned iterate differs from CG", seed)
+		}
+		if out[0].Iterations != res.Iterations || out[0].Converged != res.Converged {
+			t.Fatalf("seed %d: stats differ: %+v vs %+v", seed, res, out[0])
 		}
 	}
 }

@@ -74,6 +74,57 @@ func TestCGCancelMidSolve(t *testing.T) {
 	}
 }
 
+// countingPrecond is a Jacobi preconditioner that counts its applications.
+type countingPrecond struct {
+	inner *Jacobi
+	count int
+}
+
+func (c *countingPrecond) Precond(dst, src []float64) {
+	c.count++
+	c.inner.Precond(dst, src)
+}
+
+// TestFlexibleCGCancelMidSolve is the preconditioned counterpart of
+// TestCGCancelMidSolve (the name dates from the flexible outer solver that
+// preconditioned solves used to run): with a preconditioner installed, a
+// cancel at apply 4 must still stop the solve within one iteration.
+func TestFlexibleCGCancelMidSolve(t *testing.T) {
+	op, b := slowGrid(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	co := &cancellingOperator{inner: op, cancel: cancel, at: 4}
+	pre := &countingPrecond{inner: op.Inner.(*LapOperator).Jacobi()}
+	x := make([]float64, op.Dim())
+	res, err := CG(ctx, co, x, b, pre, nil, solver.Options{Tol: 1e-14})
+	if !errors.Is(err, solver.ErrCancelled) {
+		t.Fatalf("want ErrCancelled, got %v", err)
+	}
+	if res.Iterations > 4 {
+		t.Fatalf("preconditioned CG ran %d iterations past a cancel at apply 4", res.Iterations)
+	}
+	if pre.count > res.Iterations+1 {
+		t.Fatalf("preconditioner applied %d times over %d iterations", pre.count, res.Iterations)
+	}
+}
+
+// TestFlexibleCGCancelledBeforeStart: a preconditioned solve issued with a
+// cancelled context runs no iteration and never applies the preconditioner.
+func TestFlexibleCGCancelledBeforeStart(t *testing.T) {
+	op, b := slowGrid(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pre := &countingPrecond{inner: op.Inner.(*LapOperator).Jacobi()}
+	x := make([]float64, op.Dim())
+	res, err := CG(ctx, op, x, b, pre, nil, solver.Options{})
+	if !errors.Is(err, solver.ErrCancelled) {
+		t.Fatalf("want ErrCancelled, got %v", err)
+	}
+	if res.Iterations != 0 || pre.count != 0 {
+		t.Fatalf("pre-cancelled preconditioned CG ran %d iterations, %d applications", res.Iterations, pre.count)
+	}
+}
+
 // cancellingPrecond cancels the solve's context from inside an
 // application and leaves dst zeroed — a degenerate direction the solver
 // must not mistake for a breakdown.
