@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ingrass/internal/batch"
 	"ingrass/internal/sparse"
 )
 
@@ -15,45 +14,20 @@ import (
 // BatchOptions.MaxBlock) transparently.
 const MaxBlockWidth = sparse.MaxBlockWidth
 
-// BatchOptions configures the batched query engine: the scheduler that
-// coalesces concurrent same-generation solve and resistance requests into
-// blocked multi-RHS executions, and the blocked execution itself. The zero
-// value means all defaults.
+// BatchOptions configures the blocked execution of explicit SolveBatch and
+// EffectiveResistanceBatch calls. The zero value means all defaults.
+// Single Solve and EffectiveResistance calls always run on the caller's
+// goroutine.
 type BatchOptions struct {
-	// Window is how long an open coalescing group waits for companions
-	// before executing anyway (default 200µs — far below a warm solve, so
-	// under load groups fill to MaxBlock and the window only bounds
-	// idle-time latency).
+	// Window is accepted and ignored. It was the wait of the retired
+	// scheduler that coalesced concurrent single solves.
 	Window time.Duration
-	// MaxBlock is the widest coalesced group (default 8, capped at
-	// MaxBlockWidth). Explicit SolveBatch calls chunk to this width too.
+	// MaxBlock is the widest block explicit batches execute at (default 8,
+	// capped at MaxBlockWidth).
 	MaxBlock int
-	// QueueCap bounds admitted-but-unexecuted scheduler requests; further
-	// submitters block until capacity frees or their context expires
-	// (default 1024).
-	QueueCap int
-	// Workers is the number of scheduler executor goroutines (default
-	// GOMAXPROCS).
-	Workers int
-	// CoalesceSingles routes single Service.Solve and EffectiveResistance
-	// calls through the coalescing scheduler, so concurrent same-generation
-	// requests transparently share blocked executions. Answers are
-	// bit-identical to the direct path; the trade is up to Window of added
-	// latency on an idle service. `ingrass serve` enables this.
+	// CoalesceSingles is accepted and ignored. It routed single solves
+	// through the retired coalescing scheduler.
 	CoalesceSingles bool
-}
-
-func (o BatchOptions) internal() batch.Options {
-	mb := o.MaxBlock
-	if mb > MaxBlockWidth {
-		mb = MaxBlockWidth
-	}
-	return batch.Options{
-		Window:   o.Window,
-		MaxBlock: mb,
-		QueueCap: o.QueueCap,
-		Workers:  o.Workers,
-	}
 }
 
 // blockWidth is the chunk width explicit batches execute at.
@@ -82,11 +56,9 @@ type BatchSolveResult struct {
 
 // SolveBatch solves L_G x_i = b_i for every right-hand side against one
 // snapshot generation, executing the batch as blocked multi-RHS solves that
-// traverse the graph and sparsifier structures once per iteration for a
-// whole block — at 8 right-hand sides this beats 8 independent solves by
-// well over the coalescing target (see BENCH_solve.json). Each column's
-// answer is bit-identical to an independent Solve of that b_i with the same
-// options.
+// traverse the graph structure once per iteration for a whole block. Each
+// column's answer is bit-identical to an independent Solve of that b_i with
+// the same options.
 //
 // All right-hand sides share one option set and one generation (the current
 // snapshot at call time); per-column outcomes are reported independently.
@@ -119,7 +91,7 @@ func (s *Service) SolveBatch(ctx context.Context, bs [][]float64, opts SolveOpti
 			results[i].X = make([]float64, n)
 			xs = append(xs, results[i].X)
 		}
-		bst, err := s.eng.SolveBlock(ctx, snap, xs, bs[lo:hi], out[:hi-lo], opts.internal())
+		bst, err := snap.SolveBlockInto(ctx, xs, bs[lo:hi], out[:hi-lo], opts.internal())
 		if err != nil {
 			return results, snap.Gen, err
 		}
@@ -202,7 +174,7 @@ func (s *Service) EffectiveResistanceBatch(ctx context.Context, pairs []Pair) ([
 			bs = append(bs, b)
 			xs = append(xs, make([]float64, n))
 		}
-		if _, err := s.eng.SolveBlock(ctx, snap, xs, bs, out[:hi-lo], SolveOptions{}.internal()); err != nil {
+		if _, err := snap.SolveBlockInto(ctx, xs, bs, out[:hi-lo], SolveOptions{}.internal()); err != nil {
 			return results, snap.Gen, err
 		}
 		for k, i := range todo[lo:hi] {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"ingrass/internal/batch"
 	"ingrass/internal/core"
 	"ingrass/internal/gen"
 	"ingrass/internal/graph"
@@ -113,7 +112,7 @@ func cmdBench(args []string) {
 		}
 	}
 
-	// --- SpMV: serial vs legacy spawn-per-call vs persistent pool --------
+	// --- SpMV: serial vs persistent pool vs frozen operator --------------
 	for _, n := range []int{10000, 100000} {
 		grid := benchGrid(n)
 		csr := graph.NewCSR(grid)
@@ -130,13 +129,6 @@ func cmdBench(args []string) {
 		})
 		run.Results = append(run.Results, serial)
 		procs := runtime.GOMAXPROCS(0)
-		run.Results = append(run.Results, addPair(prefix, serial.NsOp,
-			measure(fmt.Sprintf("%s/spawn/workers=%d", prefix, procs), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					csr.LapMulParallel(dst, x, procs)
-				}
-			})))
 		pool := kernel.Shared(procs)
 		part := csr.NNZPartition(pool.Workers())
 		run.Results = append(run.Results, addPair(prefix, serial.NsOp,
@@ -237,14 +229,12 @@ func cmdBench(args []string) {
 		eng.Close()
 	}
 
-	// --- Batched query engine: concurrent clients, single vs coalesced -----
-	// Aggregate solve throughput with c clients issuing solves against one
-	// warm generation: the single path runs independent SolveInto calls, the
-	// coalesced path rides the scheduler and shares blocked multi-RHS
-	// executions. ns_op is wall-time per completed solve (inverse aggregate
-	// throughput); speedup_vs_serial on coalesced entries is the coalescing
-	// win at that concurrency. A larger grid than the warm-solve gate so the
-	// shared CSR traversal has real structure to amortize.
+	// --- Concurrent solves and blocked resistance sweeps -----------------
+	// Aggregate solve throughput with c clients issuing independent
+	// SolveInto calls against one warm generation. ns_op is wall-time per
+	// completed solve (inverse aggregate throughput). A larger grid than the
+	// warm-solve gate so the blocked sweep below has real structure to
+	// amortize.
 	{
 		eng, n := benchBatchEngine(format)
 		snap := eng.Current()
@@ -266,7 +256,7 @@ func cmdBench(args []string) {
 		}
 		ctx := context.Background()
 		for _, clients := range []int{1, 4, 8, 16} {
-			run1 := func(b *testing.B, coalesced bool) {
+			run1 := func(b *testing.B) {
 				var remaining atomic.Int64
 				remaining.Store(int64(b.N))
 				var wg sync.WaitGroup
@@ -278,13 +268,7 @@ func cmdBench(args []string) {
 						rhs := mkRHS(c)
 						x := make([]float64, n)
 						for remaining.Add(-1) >= 0 {
-							var err error
-							if coalesced {
-								_, err = eng.SolveCoalesced(ctx, snap, x, rhs, opts)
-							} else {
-								_, err = snap.SolveInto(ctx, x, rhs, opts)
-							}
-							if err != nil {
+							if _, err := snap.SolveInto(ctx, x, rhs, opts); err != nil {
 								b.Error(err)
 								return
 							}
@@ -294,10 +278,7 @@ func cmdBench(args []string) {
 				wg.Wait()
 			}
 			prefix := fmt.Sprintf("batch/solve_throughput/torus64x64d12/clients=%d", clients)
-			single := measure(prefix+"/single", func(b *testing.B) { run1(b, false) })
-			run.Results = append(run.Results, single)
-			run.Results = append(run.Results, addPair(prefix, single.NsOp,
-				measure(prefix+"/coalesced", func(b *testing.B) { run1(b, true) })))
+			run.Results = append(run.Results, measure(prefix+"/single", run1))
 		}
 
 		// k-pair resistance sweep: one op is the whole k-pair sweep — k
@@ -339,7 +320,7 @@ func cmdBench(args []string) {
 							vecmath.Zero(bs[c])
 							vecmath.Basis(bs[c], pairs[lo+c][0], pairs[lo+c][1])
 						}
-						if _, err := snap.SolveBlockInto(ctx, xs[:w], bs[:w], out[:w], nil, solver.Options{}); err != nil {
+						if _, err := snap.SolveBlockInto(ctx, xs[:w], bs[:w], out[:w], solver.Options{}); err != nil {
 							b.Fatal(err)
 						}
 						for c := 0; c < w; c++ {
@@ -465,13 +446,13 @@ func benchTorus(side int) *graph.Graph {
 	return g
 }
 
-// benchBatchEngine builds the engine the batched-workload benchmarks run
-// against: a 64x64 degree-12 torus (4096 nodes, ~25k edges) with an
-// off-tree sparsifier density of 0.3. The blocked-vs-independent ratio is
-// governed by how much of a solve streams CSR structure (which coalescing
-// amortizes) versus per-column vector passes (which it cannot); this
-// mesh-plus-moderate-sparsifier workload is the serving shape the engine
-// targets. The block width is 8, matching the 8-client acceptance point.
+// benchBatchEngine builds the engine the concurrent-solve and blocked-sweep
+// benchmarks run against: a 64x64 degree-12 torus (4096 nodes, ~25k edges)
+// with an off-tree sparsifier density of 0.3. The blocked-vs-independent
+// ratio is governed by how much of a solve streams CSR structure (which
+// blocking amortizes) versus per-column vector passes (which it cannot);
+// this mesh-plus-moderate-sparsifier workload is the serving shape the
+// engine targets.
 func benchBatchEngine(format solver.Format) (*service.Engine, int) {
 	g := benchTorus(64)
 	init, err := grass.InitialSparsifier(g, 0.3, 1)
@@ -487,11 +468,6 @@ func benchBatchEngine(format solver.Format) (*service.Engine, int) {
 	}
 	eng := service.New(sp, service.Options{
 		Solver: solver.Options{Workers: runtime.GOMAXPROCS(0), Format: format},
-		// 1ms window: wide enough that a wave of resubmitting clients
-		// refills the next group before it seals (the scheduler's
-		// busy-executor re-arm handles the sustained-load case; the window
-		// covers the wave-start race on an otherwise idle engine).
-		Batch: batch.Options{Window: time.Millisecond, MaxBlock: 8},
 	})
 	return eng, g.NumNodes()
 }

@@ -177,9 +177,7 @@ func drawClass(mix []mixEntry, r float64) string {
 }
 
 // pairPicker draws zipf-skewed node pairs: a small set of "hot" nodes
-// absorbs most of the traffic, as real query workloads do, which exercises
-// the coalescing scheduler's same-pair dedup much harder than uniform
-// draws would.
+// absorbs most of the traffic, as real query workloads do.
 type pairPicker struct {
 	rng  *rand.Rand
 	zipf *rand.Zipf // nil = uniform

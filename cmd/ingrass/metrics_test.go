@@ -136,7 +136,7 @@ func TestShutdownSummarySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"ingrass_batch_groups_total", "ingrass_batch_queue_depth", "ingrass_solves_total"} {
+	for _, want := range []string{"ingrass_batch_groups_total", "ingrass_solves_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("shutdown summary missing %q in:\n%s", want, out)
 		}

@@ -16,6 +16,27 @@ import (
 	"ingrass/internal/repl"
 )
 
+// Timeouts shared by the serve and route listeners. ReadHeaderTimeout
+// closes a connection whose request headers do not arrive in time, so
+// stalled clients cannot pin connections. IdleTimeout outlives the 90s
+// keep-alive of Go's default client transport, which the router forwards
+// through: the client retires an idle connection before the server closes
+// it, so a forwarded write never races a server-side close.
+const (
+	serverReadHeaderTimeout = 5 * time.Second
+	serverIdleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer is the http.Server for the serve and route listeners.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		IdleTimeout:       serverIdleTimeout,
+	}
+}
+
 // cmdRoute runs the thin replication router: writes forward to the primary,
 // reads fan out across healthy ready followers (round-robin, one retry on a
 // different backend), and the primary serves reads only when no replica
@@ -72,7 +93,7 @@ func cmdRoute(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	server := &http.Server{Addr: *addr, Handler: rt}
+	server := newHTTPServer(*addr, rt)
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	fmt.Printf("routing on %s: writes -> %s, reads across %d replica(s)\n",

@@ -15,6 +15,7 @@ import (
 
 	"ingrass"
 	"ingrass/internal/obs/trace"
+	"ingrass/internal/repl"
 	"ingrass/internal/solver"
 )
 
@@ -48,9 +49,7 @@ func cmdServe(args []string) {
 	segmentBytes := fs.Int64("segment-bytes", 64<<20, "WAL segment rotation size")
 	ckptEvery := fs.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 = only on shutdown)")
 	format := fs.String("format", "auto", "frozen operator storage layout: auto, csr, or sell")
-	coalesce := fs.Bool("coalesce", true, "coalesce concurrent single solves into blocked multi-RHS executions")
-	batchWindow := fs.Duration("batch-window", 200*time.Microsecond, "coalescing window for the batched query engine")
-	batchMax := fs.Int("batch-max", 8, "widest coalesced block (capped at 16)")
+	batchMax := fs.Int("batch-max", 8, "widest block of a /solve/batch or /resistance/batch execution (capped at 16)")
 	maintain := fs.Bool("maintain", false, "enable closed-loop maintenance: background re-sparsification when a health threshold trips")
 	maintainEvery := fs.Duration("maintain-every", 2*time.Second, "health-evaluation cadence for -maintain")
 	iterTarget := fs.Float64("iter-target", 0, "mean solve iterations that trigger a rebuild and steer density auto-tuning (0 = off)")
@@ -84,14 +83,10 @@ func cmdServe(args []string) {
 		MaxBatch:      *maxBatch,
 		FlushInterval: *flushEvery,
 		Solve:         ingrass.SolveOptions{Format: *format},
-		Batch: ingrass.BatchOptions{
-			Window:          *batchWindow,
-			MaxBlock:        *batchMax,
-			CoalesceSingles: *coalesce,
-		},
-		DataDir:      *dataDir,
-		FsyncEvery:   *fsyncEvery,
-		SegmentBytes: *segmentBytes,
+		Batch:         ingrass.BatchOptions{MaxBlock: *batchMax},
+		DataDir:       *dataDir,
+		FsyncEvery:    *fsyncEvery,
+		SegmentBytes:  *segmentBytes,
 		Maintenance: ingrass.MaintenanceOptions{
 			Enabled:       *maintain,
 			Interval:      *maintainEvery,
@@ -216,7 +211,7 @@ func cmdServe(args []string) {
 		}()
 	}
 
-	server := &http.Server{Addr: *addr, Handler: newServeMux(svc, tracer)}
+	server := newHTTPServer(*addr, newServeMux(svc, tracer))
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.ListenAndServe() }()
 	fmt.Printf("listening on %s\n", *addr)
@@ -369,6 +364,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// decodeBody decodes r's JSON body into v, reading at most
+// repl.DefaultMaxBodyBytes. On failure it writes the error response (413
+// for an oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, repl.DefaultMaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return false
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	return false
+}
+
 // statusClientClosedRequest is the nginx-style status for a client that
 // went away mid-request; Go's net/http has no named constant for it.
 const statusClientClosedRequest = 499
@@ -405,7 +417,7 @@ func solveStatus(err error) int {
 //	GET    /resistance       ?u=&v=                        effective resistance
 //	POST   /resistance/batch {"pairs":[{"u":0,"v":5},..]}  blocked resistance sweep
 //	POST   /resparsify                                     force a background re-sparsification
-//	GET    /stats                                          engine + scheduler + per-endpoint counters (JSON)
+//	GET    /stats                                          engine + per-endpoint counters (JSON)
 //	GET    /metrics                                        Prometheus text exposition
 //	GET    /healthz                                        liveness
 //	GET    /debug/requests   ?trace=&endpoint=             flight-recorder traces (JSON)
@@ -417,18 +429,17 @@ func solveStatus(err error) int {
 // inbound traceparent header), so a routed request shows up as one
 // stitched cross-process trace in /debug/requests.
 //
-// Concurrent single POST /solve requests against the same generation are
-// transparently coalesced into blocked multi-RHS executions when the
-// service was started with -coalesce (the default). tracer may be nil
-// (requests are served untraced).
+// Each POST /solve runs on its request's goroutine, so concurrent solves
+// proceed in parallel. Request bodies are capped at
+// repl.DefaultMaxBodyBytes (413 beyond it). tracer may be nil (requests
+// are served untraced).
 func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	hm := newHTTPMetrics(svc.Metrics(), tracer)
 
 	decodeEdges := func(w http.ResponseWriter, r *http.Request) ([]ingrass.Edge, bool) {
 		var req edgesRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return nil, false
 		}
 		if len(req.Edges) == 0 {
@@ -484,8 +495,7 @@ func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 
 	mux.HandleFunc("POST /solve", hm.wrap(epSolve, func(w http.ResponseWriter, r *http.Request) {
 		var req solveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		// r.Context() is cancelled when the client disconnects, so an
@@ -577,8 +587,7 @@ func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 	// multi-RHS execution underneath.
 	mux.HandleFunc("POST /solve/batch", hm.wrap(epSolveBatch, func(w http.ResponseWriter, r *http.Request) {
 		var req batchSolveRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Bs) == 0 {
@@ -612,8 +621,7 @@ func newServeMux(svc *ingrass.Service, tracer *trace.Recorder) *http.ServeMux {
 
 	mux.HandleFunc("POST /resistance/batch", hm.wrap(epResistanceBatch, func(w http.ResponseWriter, r *http.Request) {
 		var req batchResistanceRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		if len(req.Pairs) == 0 {

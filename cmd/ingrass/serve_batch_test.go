@@ -4,43 +4,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
-
-	"ingrass"
 )
-
-// testBatchService is testService with single-request coalescing enabled,
-// as `ingrass serve` runs by default.
-func testBatchService(t *testing.T) *ingrass.Service {
-	t.Helper()
-	const rows, cols = 6, 6
-	g := ingrass.NewGraph(rows * cols)
-	id := func(i, j int) int { return i*cols + j }
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if j+1 < cols {
-				if _, err := g.AddEdge(id(i, j), id(i, j+1), 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if i+1 < rows {
-				if _, err := g.AddEdge(id(i, j), id(i+1, j), 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	svc, err := ingrass.NewService(g, ingrass.ServiceOptions{
-		Options: ingrass.Options{InitialDensity: 0.1, Seed: 1},
-		Batch:   ingrass.BatchOptions{CoalesceSingles: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	return svc
-}
 
 // TestResistanceValidation pins the structured 400s of GET /resistance:
 // missing, non-integer, out-of-range, and equal endpoints each name the
@@ -93,7 +58,7 @@ func TestResistanceValidation(t *testing.T) {
 // TestSolveBatchEndpoint: POST /solve/batch answers every right-hand side
 // identically to individual POST /solve calls, under one generation.
 func TestSolveBatchEndpoint(t *testing.T) {
-	svc := testBatchService(t)
+	svc := testService(t)
 	srv := httptest.NewServer(newServeMux(svc, nil))
 	defer srv.Close()
 
@@ -144,7 +109,7 @@ func TestSolveBatchEndpoint(t *testing.T) {
 // TestResistanceBatchEndpoint: POST /resistance/batch mixes valid,
 // degenerate, and invalid pairs with per-item outcomes.
 func TestResistanceBatchEndpoint(t *testing.T) {
-	svc := testBatchService(t)
+	svc := testService(t)
 	srv := httptest.NewServer(newServeMux(svc, nil))
 	defer srv.Close()
 
@@ -181,49 +146,5 @@ func TestResistanceBatchEndpoint(t *testing.T) {
 	}
 	if math.Abs(single.Resistance-br.Results[1].Resistance) > 1e-9 {
 		t.Fatalf("batch %g vs single %g", br.Results[1].Resistance, single.Resistance)
-	}
-}
-
-// TestCoalescedSolvesAndStats: concurrent single POST /solve requests are
-// transparently coalesced, and GET /stats exposes the scheduler counters.
-func TestCoalescedSolvesAndStats(t *testing.T) {
-	svc := testBatchService(t)
-	srv := httptest.NewServer(newServeMux(svc, nil))
-	defer srv.Close()
-
-	const n, clients = 36, 8
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = math.Sin(float64(i + c))
-			}
-			var sr solveResponse
-			resp := doJSON(t, srv, http.MethodPost, "/solve", solveRequest{B: b, Tol: 1e-8}, &sr)
-			if resp.StatusCode != http.StatusOK || !sr.Stats.Converged {
-				t.Errorf("client %d: status %d stats %+v", c, resp.StatusCode, sr.Stats)
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	var st ingrass.ServiceStats
-	if resp := doJSON(t, srv, http.MethodGet, "/stats", nil, &st); resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /stats: %d", resp.StatusCode)
-	}
-	if st.BatchesFormed == 0 {
-		t.Fatal("stats report zero batches formed after coalesced solves")
-	}
-	if st.AvgBlockFill <= 0 {
-		t.Fatalf("avg block fill %v", st.AvgBlockFill)
-	}
-	if st.BatchQueueDepth != 0 {
-		t.Fatalf("queue depth %d at idle", st.BatchQueueDepth)
-	}
-	if st.Solves < clients {
-		t.Fatalf("stats count %d solves, want >= %d", st.Solves, clients)
 	}
 }

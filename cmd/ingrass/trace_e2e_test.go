@@ -24,9 +24,7 @@ type tracedBackend struct {
 
 func newTracedBackend(t *testing.T) *tracedBackend {
 	t.Helper()
-	// Coalescing matches the serve command's default, so single solves ride
-	// the scheduler and record batch_group spans like production.
-	svc := testBatchService(t)
+	svc := testService(t)
 	tracer := trace.NewRecorder(trace.Options{SampleRate: 1})
 	tracer.RegisterMetrics(svc.Metrics())
 	srv := httptest.NewServer(newServeMux(svc, tracer))
@@ -55,8 +53,7 @@ func findSpan(ts *trace.TraceSnapshot, name string) *trace.SpanSnapshot {
 // TestTracePropagationThroughRouter is the cross-process acceptance check:
 // one POST /solve through the router to a replica produces ONE trace whose
 // router-side portion (http_request root + router_client child) and
-// backend-side portion (http_request -> batch_group -> solve_outer ->
-// precond_apply) share the trace ID and link parent-to-child across the
+// backend-side portion (http_request -> solve_outer -> precond_apply) share the trace ID and link parent-to-child across the
 // process boundary, retrievable stitched from the router's /debug/requests.
 // A POST /edges exercises the same round-trip toward the primary.
 func TestTracePropagationThroughRouter(t *testing.T) {
@@ -169,8 +166,8 @@ func TestTracePropagationThroughRouter(t *testing.T) {
 	}
 
 	solveTrace := checkStitched("solve", follower.srv.URL,
-		[]string{"http_request", "batch_group", "solve_outer", "precond_apply"})
-	// The write round-trip: batch_group/wal spans need a durable engine
+		[]string{"http_request", "solve_outer", "precond_apply"})
+	// The write round-trip: wal spans need a durable engine
 	// (covered by the CI trace smoke); here the linkage itself is the check.
 	checkStitched("edges_add", primary.srv.URL, []string{"http_request"})
 

@@ -30,9 +30,11 @@
 //
 // For concurrent consumers, Service wraps the incremental sparsifier in a
 // long-lived engine: reads (Solve, EffectiveResistance, ConditionNumber,
-// SparsifierSnapshot) run against immutable copy-on-write snapshots with
-// the preconditioner factorization cached per generation, while writes
-// (AddEdges, DeleteEdges) flow through a coalescing asynchronous batcher.
+// SparsifierSnapshot) run on the caller's goroutine against immutable
+// copy-on-write snapshots with the preconditioner factorization cached per
+// generation, while writes (AddEdges, DeleteEdges) flow through a
+// coalescing asynchronous batcher. SolveBatch and EffectiveResistanceBatch
+// run many right-hand sides as blocked multi-RHS solves.
 // The same engine backs the HTTP front-end ("ingrass serve").
 //
 // # Durability

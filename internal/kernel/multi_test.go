@@ -169,7 +169,7 @@ func testGrid(r, c int) *graph.Graph {
 }
 
 // BenchmarkLapMulMulti compares one blocked product against b independent
-// products — the coalescing win at the kernel level.
+// products — the blocking win at the kernel level.
 func BenchmarkLapMulMulti(b *testing.B) {
 	csr := graph.NewCSR(testGrid(100, 100))
 	for _, w := range []int{1, 4, 8} {

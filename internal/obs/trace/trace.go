@@ -2,7 +2,7 @@
 // span buffers are pooled and fixed-capacity, span names and attribute keys
 // come from closed vocabularies, timestamps are monotonic offsets from the
 // trace epoch, and every per-span operation is a handful of atomic stores —
-// no locks, no allocation, race-detector clean even when a batch executor
+// no locks, no allocation, race-detector clean even when the write batcher
 // finishes a span after the HTTP handler has returned.
 //
 // The lifecycle is tail-sampled: every request records spans while in
@@ -32,10 +32,6 @@ const (
 	// SpanRouterClient covers one forward attempt from the router to a
 	// backend (a retried read produces two).
 	SpanRouterClient
-	// SpanBatchGroup covers one request's ride through the coalescing
-	// scheduler: queue wait from Submit to group execution, then the
-	// blocked solve itself.
-	SpanBatchGroup
 	// SpanSolveOuter is the preconditioned CG solve for one column.
 	SpanSolveOuter
 	// SpanPrecondApply is one preconditioner application (a factor sweep).
@@ -52,7 +48,6 @@ var spanNames = [numSpanNames]string{
 	spanInvalid:      "invalid",
 	SpanHTTPRequest:  "http_request",
 	SpanRouterClient: "router_client",
-	SpanBatchGroup:   "batch_group",
 	SpanSolveOuter:   "solve_outer",
 	SpanPrecondApply: "precond_apply",
 	SpanWALAppend:    "wal_append",
@@ -77,10 +72,6 @@ const (
 	AttrIterations
 	// AttrPrecondApplies counts preconditioner applications in a solve span.
 	AttrPrecondApplies
-	// AttrWidth is the coalesced block width of a batch-group span.
-	AttrWidth
-	// AttrQueueWaitNS is time from Submit to group execution start.
-	AttrQueueWaitNS
 	// AttrStatus is the HTTP status code of a request or client span.
 	AttrStatus
 	// AttrBackend is the router's backend index for a client span.
@@ -97,8 +88,6 @@ var attrKeys = [numAttrKeys]string{
 	attrInvalid:        "invalid",
 	AttrIterations:     "iterations",
 	AttrPrecondApplies: "precond_applies",
-	AttrWidth:          "width",
-	AttrQueueWaitNS:    "queue_wait_ns",
 	AttrStatus:         "status",
 	AttrBackend:        "backend",
 	AttrGeneration:     "generation",
@@ -257,8 +246,8 @@ func (s Span) StartChild(name SpanName) Span {
 }
 
 // StartChildSince starts a child span backdated to start. Used for spans
-// whose beginning predates the code that records them (queue wait measured
-// from Submit time, an append measured from before the syscall).
+// whose beginning predates the code that records them (an append measured
+// from before the syscall).
 func (s Span) StartChildSince(name SpanName, start time.Time) Span {
 	if !s.live() {
 		return Span{}

@@ -238,7 +238,7 @@ func TestAttrOverwriteAndCap(t *testing.T) {
 	root := r.StartRequest("solve", Remote{})
 	root.SetAttr(AttrIterations, 1)
 	root.SetAttr(AttrIterations, 2)
-	root.SetAttr(AttrWidth, 3)
+	root.SetAttr(AttrBackend, 3)
 	root.SetAttr(AttrPrecondApplies, 4)
 	root.SetAttr(AttrGeneration, 5)
 	root.SetAttr(AttrBytes, 6) // 5th distinct key (after status lands at Finish: 4 slots)

@@ -20,19 +20,16 @@ import (
 // internally, every solution written into x[j] is mean-zero, and column j's
 // arithmetic is bit-identical to an independent Solve of that column (the
 // lockstep recurrences are mathematically independent; see sparse.BlockCG).
-// opts overrides the factorization defaults field-wise for the whole group
-// — coalesced requests must share option sets, which the batch scheduler
-// guarantees. colCtx optionally carries one context per column: a cancelled
-// column is masked out of the block within one iteration and recorded in
-// out, without disturbing the remaining columns; ctx cancels the whole
-// group. out receives one ColumnResult per column; the returned int is the
-// number of (blocked) preconditioner applications. The returned error is
-// reserved for structural failures and whole-group cancellation.
+// opts overrides the factorization defaults field-wise for the whole
+// block; ctx cancels it. out receives one ColumnResult per column; the
+// returned int is the number of (blocked) preconditioner applications. The
+// returned error is reserved for structural failures and whole-block
+// cancellation.
 //
 // Safe for any number of concurrent callers; each call checks a private
 // solve state out of the factorization's pool, and the warm path allocates
 // nothing.
-func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (int, error) {
+func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs, bs [][]float64, out []sparse.ColumnResult, opts solver.Options) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -56,12 +53,9 @@ func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs,
 	st := f.sp.get()
 	defer f.sp.put(st)
 	op := st.begin(sys)
+	parent := trace.FromContext(ctx)
 	for j := 0; j < w; j++ {
-		c := ctx
-		if colCtx != nil && colCtx[j] != nil {
-			c = colCtx[j]
-		}
-		st.spans[j] = trace.FromContext(c).StartChild(trace.SpanSolveOuter)
+		st.spans[j] = parent.StartChild(trace.SpanSolveOuter)
 		if st.spans[j].Tracing() {
 			st.traced = true
 		}
@@ -80,7 +74,7 @@ func (f *Factorization) SolveBlock(ctx context.Context, sys sparse.Operator, xs,
 	}
 	st.rhs = rhs
 	err := sparse.BlockCG(ctx, op, sparse.BlockSpec{
-		X: xs, B: rhs, ColCtx: colCtx, Out: out,
+		X: xs, B: rhs, Out: out,
 	}, st, st.ws, &st.sc, eff)
 	for j := 0; j < w; j++ {
 		vecmath.CenterMean(xs[j])

@@ -35,7 +35,7 @@ func TestSolveBlockMatchesSolve(t *testing.T) {
 		xs[j] = make([]float64, n)
 	}
 	out := make([]sparse.ColumnResult, w)
-	inner, err := fact.SolveBlock(context.Background(), proj, xs, bs, out, nil, solver.Options{Tol: 1e-8})
+	inner, err := fact.SolveBlock(context.Background(), proj, xs, bs, out, solver.Options{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}

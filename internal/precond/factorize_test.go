@@ -151,7 +151,7 @@ func TestFlexibleCGDimensionError(t *testing.T) {
 	}
 	for _, c := range cases {
 		out := make([]sparse.ColumnResult, c.out)
-		if _, err := fact.SolveBlock(context.Background(), c.sys, c.xs, c.bs, out, nil, solver.Options{}); err == nil {
+		if _, err := fact.SolveBlock(context.Background(), c.sys, c.xs, c.bs, out, solver.Options{}); err == nil {
 			t.Errorf("%s: want a dimension error", c.name)
 		}
 	}

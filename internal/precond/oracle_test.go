@@ -106,7 +106,7 @@ func checkAgainstOracle(t *testing.T, name string, g *graph.Graph, f *Factorizat
 		}
 	}
 	out := make([]sparse.ColumnResult, w)
-	if _, err := f.SolveBlock(context.Background(), proj, xs, bs, out, nil, opts); err != nil {
+	if _, err := f.SolveBlock(context.Background(), proj, xs, bs, out, opts); err != nil {
 		t.Fatalf("%s: SolveBlock: %v", name, err)
 	}
 	for j := range xs {

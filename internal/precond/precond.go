@@ -11,7 +11,7 @@
 // triangular sweeps — the support-tree preconditioner of Vaidya and
 // Spielman–Teng. The preconditioner is linear and fixed, so the solve is
 // plain PCG: sparse.CG for one right-hand side, sparse.BlockCG for a
-// coalesced block. A sparsifier whose factor would fill past a fixed cap
+// batch of them. A sparsifier whose factor would fill past a fixed cap
 // falls back to Jacobi-PCG on G instead.
 //
 // Factorization is the shared, immutable half; each solve checks a pooled,

@@ -27,7 +27,7 @@ type FollowerOptions struct {
 	// past this follower at any checkpoint (it then re-bootstraps).
 	ID string
 	// Engine is the base configuration for the replica engine (solver,
-	// batch scheduler, snapshot retention, obs registry). Durability and
+	// snapshot retention, obs registry). Durability and
 	// maintenance fields are ignored; the engine is forced read-only.
 	Engine service.Options
 	// MaxStaleness bounds how long reads keep being served after contact

@@ -26,7 +26,8 @@ type RouterOptions struct {
 	// failure (transport error, 502, 503). Default 2s.
 	EjectFor time.Duration
 	// MaxBodyBytes bounds a buffered request body (bodies are buffered so
-	// a read can be retried on a different replica). Default 8 MiB.
+	// a read can be retried on a different replica). Default
+	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// Client overrides the forwarding HTTP client (tests).
 	Client *http.Client
@@ -40,6 +41,11 @@ type RouterOptions struct {
 	Tracer *trace.Recorder
 }
 
+// DefaultMaxBodyBytes is the router's default request-body cap. Backends
+// serving the same API apply it too, so a body the router forwards is never
+// refused downstream for its size.
+const DefaultMaxBodyBytes = 8 << 20
+
 func (o RouterOptions) withDefaults() RouterOptions {
 	if o.HealthEvery <= 0 {
 		o.HealthEvery = 500 * time.Millisecond
@@ -48,7 +54,7 @@ func (o RouterOptions) withDefaults() RouterOptions {
 		o.EjectFor = 2 * time.Second
 	}
 	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
+		o.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if o.Client == nil {
 		o.Client = &http.Client{}

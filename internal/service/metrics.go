@@ -21,9 +21,7 @@ import (
 // small closed vocabularies. The snapshot generation is a gauge, never a
 // label.
 
-// initHistograms creates the engine-owned histograms in reg and installs
-// the batch scheduler's block-fill hook. It must run before the scheduler
-// is constructed (the hook rides in batch.Options).
+// initHistograms creates the engine-owned histograms in reg.
 func (e *Engine) initHistograms(reg *obs.Registry) {
 	e.stats.solveDur = reg.Histogram("ingrass_solve_duration_seconds",
 		"wall-clock latency of single-RHS Laplacian solves", obs.ScaleSeconds)
@@ -31,9 +29,8 @@ func (e *Engine) initHistograms(reg *obs.Registry) {
 		"wall-clock latency of blocked multi-RHS solve executions", obs.ScaleSeconds)
 	e.stats.solveIterH = reg.Histogram("ingrass_solve_iterations",
 		"PCG iterations per solve column", obs.ScaleNone)
-	blockFill := reg.Histogram("ingrass_batch_block_fill",
-		"right-hand sides per executed blocked group", obs.ScaleNone)
-	e.opts.Batch.OnGroup = func(w int) { blockFill.Observe(int64(w)) }
+	e.stats.blockFill = reg.Histogram("ingrass_batch_block_fill",
+		"right-hand sides per explicit blocked solve", obs.ScaleNone)
 	e.stats.spmvDurCSR = reg.Histogram("ingrass_spmv_duration_seconds",
 		"wall-clock latency of frozen-operator SpMV applications by storage format",
 		obs.ScaleSeconds, obs.Label{Key: "format", Value: "csr"})
@@ -47,7 +44,6 @@ func (e *Engine) initHistograms(reg *obs.Registry) {
 }
 
 // registerBridges exposes the engine's existing atomic counters through reg.
-// It must run after the scheduler exists (the batch bridges sample it).
 func (e *Engine) registerBridges(reg *obs.Registry) {
 	ctr := func(name, help string, load func() uint64, labels ...obs.Label) {
 		reg.CounterFunc(name, help, func() float64 { return float64(load()) }, labels...)
@@ -126,12 +122,6 @@ func (e *Engine) registerBridges(reg *obs.Registry) {
 	reg.GaugeFunc("ingrass_operator_arena_reserved_bytes", "arena bytes reserved by the served generation's frozen operators",
 		func() float64 { return float64(e.stats.arenaBytes.Load()) })
 
-	ctr("ingrass_batch_groups_total", "executed blocked multi-RHS groups",
-		func() uint64 { return e.sched.Stats().BatchesFormed })
-	ctr("ingrass_batch_columns_total", "right-hand sides across all blocked groups",
-		func() uint64 { return e.sched.Stats().ColumnsTotal })
-	ctr("ingrass_batch_requests_coalesced_total", "requests that shared a group with others",
-		func() uint64 { return e.sched.Stats().RequestsCoalesced })
-	reg.GaugeFunc("ingrass_batch_queue_depth", "requests admitted to the scheduler but not yet executed",
-		func() float64 { return float64(e.sched.Stats().QueueDepth) })
+	ctr("ingrass_batch_groups_total", "explicit blocked multi-RHS solves", e.stats.blocks.Load)
+	ctr("ingrass_batch_columns_total", "right-hand sides across all explicit blocked solves", e.stats.blockColumns.Load)
 }

@@ -14,8 +14,8 @@ import (
 // replaying the primary's WAL records through the exact code path recovery
 // uses — so a follower at generation G is bit-identical to the primary at
 // generation G, the invariant TestRestoreReplaysIdentically already proves
-// for restarts. Every read path (snapshots, solves, the batched query
-// scheduler) works unchanged; every write path returns ErrReadOnly.
+// for restarts. Every read path (snapshots, solves, blocked batches) works
+// unchanged; every write path returns ErrReadOnly.
 
 // Replica errors.
 var (
@@ -100,10 +100,10 @@ func (e *Engine) ApplyRecord(rec wal.BatchRecord) error {
 
 // ResetReplica rebases the replica onto a newer checkpoint image — the
 // re-bootstrap path after the primary pruned past the replica's position.
-// The engine object (and with it the metrics bridges and query scheduler)
-// stays; only the sparsifier state and generation are replaced. A
-// checkpoint at or below the current generation is refused: generations
-// published to readers must stay monotonic.
+// The engine object (and with it the metrics bridges) stays; only the
+// sparsifier state and generation are replaced. A checkpoint at or below
+// the current generation is refused: generations published to readers
+// must stay monotonic.
 func (e *Engine) ResetReplica(ck wal.Checkpoint) error {
 	if !e.opts.ReadOnly {
 		return errors.New("service: ResetReplica on a writable engine")

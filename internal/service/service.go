@@ -36,7 +36,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ingrass/internal/batch"
 	"ingrass/internal/core"
 	"ingrass/internal/graph"
 	"ingrass/internal/obs"
@@ -71,11 +70,6 @@ type Options struct {
 	// (non-zero after recovery, so generation numbers stay aligned with the
 	// checkpoint and WAL records on disk).
 	InitialGeneration uint64
-	// Batch configures the batched query engine: the scheduler that
-	// coalesces concurrent same-generation solve and resistance requests
-	// into blocked multi-RHS executions (window, block size, admission
-	// queue, executor workers).
-	Batch batch.Options
 	// Obs, when non-nil, is the metrics registry the engine exposes itself
 	// through: the atomic counters are bridged as CounterFunc/GaugeFunc
 	// reads and the solve-latency / iteration / block-fill histograms are
@@ -120,7 +114,6 @@ type Engine struct {
 	mu    sync.Mutex // guards sp and snapshot publication
 	reg   *Registry
 	stats Stats
-	sched *batch.Scheduler[*Snapshot]
 
 	// Durability state. walBroken flips on the first failed WAL append and
 	// stays set — a log with a gap must not accept later records, or replay
@@ -182,13 +175,7 @@ func New(sp *core.Sparsifier, opts Options) *Engine {
 	e.stats.lastCheckpoint.Store(e.opts.InitialGeneration)
 	e.reg.Publish(newSnapshot(e.opts.InitialGeneration, sp.G.Snapshot(), sp.H.Snapshot(), &e.stats, e.opts.Solver))
 	if e.opts.Obs != nil {
-		// Histograms first: the block-fill hook rides in Batch options, which
-		// batch.New copies by value. The counter bridges come after the
-		// scheduler exists because they sample it.
 		e.initHistograms(e.opts.Obs)
-	}
-	e.sched = batch.New(e.opts.Batch, e.execGroup)
-	if e.opts.Obs != nil {
 		e.registerBridges(e.opts.Obs)
 	}
 	// Anchor the maintenance signals at the initial basis.
@@ -272,17 +259,8 @@ func (e *Engine) At(gen uint64) (*Snapshot, bool) { return e.reg.At(gen) }
 // Generations lists the retained snapshot generations, oldest first.
 func (e *Engine) Generations() []uint64 { return e.reg.Generations() }
 
-// Stats returns a copy of the engine counters, including the batched query
-// engine's scheduler counters.
-func (e *Engine) Stats() StatsView {
-	v := e.stats.View()
-	bv := e.sched.Stats()
-	v.BatchesFormed = bv.BatchesFormed
-	v.RequestsCoalesced = bv.RequestsCoalesced
-	v.AvgBlockFill = bv.AvgBlockFill()
-	v.BatchQueueDepth = bv.QueueDepth
-	return v
-}
+// Stats returns a copy of the engine counters.
+func (e *Engine) Stats() StatsView { return e.stats.View() }
 
 // CoreStats returns the underlying sparsifier's cumulative update counters.
 func (e *Engine) CoreStats() core.Stats {
@@ -378,5 +356,4 @@ func (e *Engine) Close() {
 	}
 	close(e.quit)
 	e.wg.Wait()
-	e.sched.Close()
 }

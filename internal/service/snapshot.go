@@ -125,17 +125,15 @@ type BlockSolveStats struct {
 // SolveBlockInto computes x[j] = L_G^+ b[j] for a whole block of right-hand
 // sides in one blocked PCG solve against this snapshot: G's CSR structure
 // is traversed once per iteration for all columns instead of once per
-// column, which is where the batched query engine's throughput comes
-// from. Per-column outcomes land in out; colCtx optionally
-// cancels single columns (masked without aborting the group — see
-// sparse.BlockSpec). Column j's result is bit-identical to an independent
-// SolveInto of b[j] with the same options.
+// column. Per-column outcomes land in out, and the block's width is
+// recorded in the block-fill stats. Column j's result is bit-identical to
+// an independent SolveInto of b[j] with the same options.
 //
 // Safe for any number of concurrent goroutines; the warm path allocates
 // nothing (the per-call blocked solve state is pooled on the shared
 // factorization). Blocks wider than sparse.MaxBlockWidth are rejected;
 // chunking is the caller's job (the public API chunks transparently).
-func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out []sparse.ColumnResult, colCtx []context.Context, opts solver.Options) (BlockSolveStats, error) {
+func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out []sparse.ColumnResult, opts solver.Options) (BlockSolveStats, error) {
 	n := s.G.NumNodes()
 	w := len(xs)
 	if len(bs) != w || len(out) != w {
@@ -150,16 +148,21 @@ func (s *Snapshot) SolveBlockInto(ctx context.Context, xs, bs [][]float64, out [
 		return BlockSolveStats{}, err
 	}
 	start := time.Now()
-	uses, err := s.fact.SolveBlock(ctx, s.proj, xs, bs, out, colCtx, opts)
+	uses, err := s.fact.SolveBlock(ctx, s.proj, xs, bs, out, opts)
 	elapsed := time.Since(start)
 	s.stats.blockDur.Observe(int64(elapsed))
+	if err == nil {
+		s.stats.blocks.Add(1)
+		s.stats.blockColumns.Add(uint64(w))
+		s.stats.blockFill.Observe(int64(w))
+	}
 	for j := 0; j < w; j++ {
 		s.stats.solves.Add(1)
 		s.stats.solveIters.Add(uint64(out[j].Iterations))
 		s.stats.solveIterH.Observe(int64(out[j].Iterations))
-		// Each coalesced column experienced the block's duration as its
-		// service time; recording it keeps solve_duration_seconds_count in
-		// step with solves_total whichever path a solve took.
+		// Each column experienced the block's duration as its service
+		// time; recording it keeps solve_duration_seconds_count in step
+		// with solves_total whichever path a solve took.
 		s.stats.solveDur.Observe(int64(elapsed))
 		cerr := err
 		if cerr == nil {

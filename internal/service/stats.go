@@ -72,12 +72,18 @@ type Stats struct {
 	opPadding  atomic.Uint64
 	arenaBytes atomic.Uint64
 
+	// Explicit blocked solves (SolveBatch, EffectiveResistanceBatch): the
+	// executions and the right-hand sides they carried.
+	blocks       atomic.Uint64
+	blockColumns atomic.Uint64
+
 	// Latency/shape histograms, created when a metrics registry is attached
 	// (Options.Obs) and nil otherwise — every observe site records
 	// unconditionally through the nil-safe receivers, so the unwired cost is
 	// a few predicted branches.
 	solveDur   *obs.Histogram // per single-RHS solve, ns
 	blockDur   *obs.Histogram // per blocked multi-RHS execution, ns
+	blockFill  *obs.Histogram // right-hand sides per blocked execution
 	solveIterH *obs.Histogram // PCG iterations per solve column
 
 	// Per-format SpMV duration histograms; frozen operators of each format
@@ -200,16 +206,10 @@ type StatsView struct {
 	WALErrors         uint64 `json:"wal_errors"`
 	Checkpoints       uint64 `json:"checkpoints"`
 	LastCheckpointGen uint64 `json:"last_checkpoint_gen"`
-	// Batched query engine counters (filled from the scheduler by
-	// Engine.Stats): BatchesFormed counts executed blocked groups,
-	// RequestsCoalesced the requests that shared a group with others,
-	// AvgBlockFill the mean right-hand sides per group, and BatchQueueDepth
-	// the requests admitted but not yet executed. AvgBlockFill near the
-	// configured MaxBlock under load means coalescing is working.
-	BatchesFormed     uint64  `json:"batches_formed"`
-	RequestsCoalesced uint64  `json:"requests_coalesced"`
-	AvgBlockFill      float64 `json:"avg_block_fill"`
-	BatchQueueDepth   int64   `json:"batch_queue_depth"`
+	// BatchesFormed counts explicit blocked solves and AvgBlockFill their
+	// mean right-hand sides per execution.
+	BatchesFormed uint64  `json:"batches_formed"`
+	AvgBlockFill  float64 `json:"avg_block_fill"`
 	// Closed-loop maintenance: trigger counts by reason, completed /
 	// failed background rebuilds, the generation the newest swap
 	// published, the controller state, the (auto-tuned) TargetCond knob
@@ -232,6 +232,10 @@ type StatsView struct {
 
 // View snapshots the counters.
 func (s *Stats) View() StatsView {
+	blocks, fill := s.blocks.Load(), 0.0
+	if blocks > 0 {
+		fill = float64(s.blockColumns.Load()) / float64(blocks)
+	}
 	return StatsView{
 		Generation:            s.generation.Load(),
 		Solves:                s.solves.Load(),
@@ -259,6 +263,8 @@ func (s *Stats) View() StatsView {
 		WALErrors:             s.walErrors.Load(),
 		Checkpoints:           s.checkpoints.Load(),
 		LastCheckpointGen:     s.lastCheckpoint.Load(),
+		BatchesFormed:         blocks,
+		AvgBlockFill:          fill,
 
 		MaintTriggersIterations: s.maintTrigIters.Load(),
 		MaintTriggersCond:       s.maintTrigCond.Load(),

@@ -173,7 +173,6 @@ func Follow(ctx context.Context, opts FollowOptions) (*Service, error) {
 		eng:       f.Engine(),
 		metrics:   metrics,
 		batchOpts: opts.Batch,
-		coalesce:  opts.Batch.CoalesceSingles,
 		follower:  f,
 	}, nil
 }

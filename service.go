@@ -67,11 +67,8 @@ type ServiceOptions struct {
 	// solves.
 	Solve SolveOptions
 
-	// Batch configures the batched query engine: coalescing window, block
-	// width, admission queue, executor workers, and whether single
-	// Solve/EffectiveResistance calls ride the coalescing scheduler
-	// (CoalesceSingles). Explicit SolveBatch/EffectiveResistanceBatch calls
-	// use the blocked execution path regardless.
+	// Batch configures the blocked execution of explicit
+	// SolveBatch/EffectiveResistanceBatch calls.
 	Batch BatchOptions
 
 	// DataDir, when non-empty, makes the service durable: every applied
@@ -212,7 +209,6 @@ func (o ServiceOptions) engineOptions(sopts SolveOptions) service.Options {
 		QueueCapacity: o.QueueCapacity,
 		Retain:        o.RetainSnapshots,
 		Solver:        s,
-		Batch:         o.Batch.internal(),
 		Maintenance:   o.Maintenance.internal(),
 	}
 }
@@ -229,7 +225,6 @@ type Service struct {
 	store     *wal.Store // nil without DataDir
 	metrics   *obs.Registry
 	batchOpts BatchOptions
-	coalesce  bool // CoalesceSingles: single reads ride the scheduler
 
 	// Replication roles (repl.go): at most one of these is set. A primary
 	// ships its WAL through replPrimary; a follower Service (built by
@@ -303,7 +298,6 @@ func NewService(g *Graph, opts ServiceOptions) (*Service, error) {
 		store:     store,
 		metrics:   metrics,
 		batchOpts: opts.Batch,
-		coalesce:  opts.Batch.CoalesceSingles,
 	}, nil
 }
 
@@ -341,7 +335,6 @@ func LoadService(opts ServiceOptions) (*Service, error) {
 		store:     store,
 		metrics:   metrics,
 		batchOpts: opts.Batch,
-		coalesce:  opts.Batch.CoalesceSingles,
 	}, nil
 }
 
@@ -462,10 +455,11 @@ func (s *Service) DeleteEdges(ctx context.Context, edges []Edge) (WriteResult, e
 	return fromInternalResult(res), err
 }
 
-// Solve computes x = L_G^+ b against the current snapshot. Safe for
-// concurrent use; the returned stats carry the generation that served the
-// solve. opts overrides the engine defaults field-wise for this request
-// (a zero opts means engine defaults). ctx cancellation or deadline expiry
+// Solve computes x = L_G^+ b against the current snapshot, on the caller's
+// goroutine. Safe for concurrent use: concurrent solves run in parallel,
+// and the returned stats carry the generation that served the solve. opts
+// overrides the engine defaults field-wise for this request (a zero opts
+// means engine defaults). ctx cancellation or deadline expiry
 // aborts the solve within one outer iteration with an error matching
 // ErrCancelled; ErrNoConvergence reports an exhausted iteration budget.
 // Partial stats accompany both.
@@ -473,23 +467,7 @@ func (s *Service) Solve(ctx context.Context, b []float64, opts SolveOptions) ([]
 	if err := s.readGate(); err != nil {
 		return nil, SolveStats{}, err
 	}
-	snap := s.eng.Current()
-	if s.coalesce {
-		// Coalesced path: concurrent same-generation solves share one
-		// blocked multi-RHS execution; the answer is bit-identical to the
-		// direct path. On a cancelled wait the solution buffer is withheld —
-		// its column may still be in flight inside the group.
-		if len(b) != snap.G.NumNodes() {
-			return nil, SolveStats{}, fmt.Errorf("ingrass: rhs length %d != %d nodes", len(b), snap.G.NumNodes())
-		}
-		x := make([]float64, len(b))
-		ist, err := s.eng.SolveCoalesced(ctx, snap, x, b, opts.internal())
-		if err != nil && ctx != nil && ctx.Err() != nil && !ist.Converged && ist.Iterations == 0 {
-			x = nil
-		}
-		return x, fromInternalSolveStats(ist), err
-	}
-	x, st, err := snap.Solve(ctx, b, opts.internal())
+	x, st, err := s.eng.Current().Solve(ctx, b, opts.internal())
 	return x, fromInternalSolveStats(st), err
 }
 
@@ -523,10 +501,6 @@ func (s *Service) EffectiveResistance(ctx context.Context, u, v int) (float64, u
 		return 0, 0, err
 	}
 	snap := s.eng.Current()
-	if s.coalesce {
-		r, err := s.eng.ResistanceCoalesced(ctx, snap, u, v)
-		return r, snap.Gen, err
-	}
 	r, err := snap.EffectiveResistance(ctx, u, v)
 	return r, snap.Gen, err
 }
@@ -633,13 +607,13 @@ type ServiceStats struct {
 	WALErrors         uint64 `json:"wal_errors"`
 	Checkpoints       uint64 `json:"checkpoints"`
 	LastCheckpointGen uint64 `json:"last_checkpoint_gen"`
-	// Batched query engine counters: blocked groups executed, requests that
-	// shared a group, mean right-hand sides per group, and requests admitted
-	// to the scheduler but not yet executed.
+	// BatchesFormed counts explicit blocked solves (SolveBatch,
+	// EffectiveResistanceBatch) and AvgBlockFill their mean right-hand
+	// sides per execution. RequestsCoalesced is retired and always 0:
+	// single solves are no longer coalesced.
 	BatchesFormed     uint64  `json:"batches_formed"`
 	RequestsCoalesced uint64  `json:"requests_coalesced"`
 	AvgBlockFill      float64 `json:"avg_block_fill"`
-	BatchQueueDepth   int64   `json:"batch_queue_depth"`
 	// Closed-loop maintenance: trigger counts by reason, completed and failed
 	// background rebuilds, the generation the newest swap published, the
 	// controller state ("disabled", "idle", "rebuilding", "swapping",
@@ -714,9 +688,7 @@ func (s *Service) Stats() ServiceStats {
 		Checkpoints:           v.Checkpoints,
 		LastCheckpointGen:     v.LastCheckpointGen,
 		BatchesFormed:         v.BatchesFormed,
-		RequestsCoalesced:     v.RequestsCoalesced,
 		AvgBlockFill:          v.AvgBlockFill,
-		BatchQueueDepth:       v.BatchQueueDepth,
 
 		MaintTriggersIterations: v.MaintTriggersIterations,
 		MaintTriggersCond:       v.MaintTriggersCond,

@@ -54,7 +54,7 @@ type SolveStats struct {
 	// Converged reports whether the tolerance was met.
 	Converged bool `json:"converged"`
 	// PrecondUses counts preconditioner applications (factor sweeps).
-	// A coalesced or batched solve reports its whole block's count.
+	// A batched solve reports its whole block's count.
 	PrecondUses int `json:"precond_uses"`
 	// Generation is the snapshot generation that served the solve. Only
 	// set by Service.Solve; standalone SolveLaplacian leaves it zero.
