@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -129,8 +131,8 @@ func renderTrace(w io.Writer, t *trace.TraceSnapshot, width int) {
 	for i := range rows {
 		rows[i].depth = depth(rows[i].span.ID)
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		return rows[i].span.StartUnixNano < rows[j].span.StartUnixNano
+	slices.SortStableFunc(rows, func(a, b spanRow) int {
+		return cmp.Compare(a.span.StartUnixNano, b.span.StartUnixNano)
 	})
 
 	t0 := rows[0].span.StartUnixNano

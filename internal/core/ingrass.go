@@ -21,8 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"ingrass/internal/graph"
@@ -222,7 +223,7 @@ func (s *Sparsifier) UpdateBatch(batch []graph.Edge) ([]Decision, error) {
 			work[i] = scored{e: e, d: s.EstimateDistortion(e)}
 		}
 	}
-	sort.SliceStable(work, func(a, b int) bool { return work[a].d > work[b].d })
+	slices.SortStableFunc(work, func(a, b scored) int { return cmp.Compare(b.d, a.d) })
 
 	decisions := make([]Decision, 0, len(work))
 	for _, it := range work {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -76,7 +77,7 @@ func sellOrder(c *CSR, sigma int) (order []int, chunkLen []int32, slots int) {
 			w1 = n
 		}
 		win := order[w0:w1]
-		sort.SliceStable(win, func(a, b int) bool { return rl(win[a]) > rl(win[b]) })
+		slices.SortStableFunc(win, func(a, b int) int { return rl(b) - rl(a) })
 	}
 	chunks := (n + SellC - 1) / SellC
 	chunkLen = make([]int32, chunks)

@@ -18,8 +18,9 @@
 package grass
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/tree"
@@ -98,7 +99,10 @@ func Sparsify(g *graph.Graph, cfg Config) (*Result, error) {
 		d := e.W * oracle.Resistance(e.U, e.V)
 		cands = append(cands, cand{edge: ei, distortion: d})
 	}
-	sort.SliceStable(cands, func(a, b int) bool { return cands[a].distortion > cands[b].distortion })
+	// Highest distortion first; equal distortions keep ascending edge index.
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(b.distortion, a.distortion), cmp.Compare(a.edge, b.edge))
+	})
 
 	budget := int(cfg.TargetDensity * float64(g.NumEdges()))
 	if budget > len(cands) {

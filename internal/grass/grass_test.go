@@ -3,10 +3,12 @@ package grass
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"ingrass/internal/cond"
 	"ingrass/internal/graph"
+	"ingrass/internal/tree"
 	"ingrass/internal/vecmath"
 )
 
@@ -183,5 +185,47 @@ func TestSparsifierPreservesQuadraticFormRoughly(t *testing.T) {
 	}
 	if qh < qg/25 {
 		t.Fatalf("sparsifier too weak on smooth vector: %v vs %v", qh, qg)
+	}
+}
+
+// TestEqualDistortionsAdmitInEdgeOrder checks the candidate ranking on a
+// unit-weight grid, where tree-path lengths tie in large groups: admission
+// must follow descending distortion with equal distortions in ascending
+// edge index, the order a stable sort of the off-tree edges gives.
+func TestEqualDistortionsAdmitInEdgeOrder(t *testing.T) {
+	g := grid(12, 12)
+	res, err := Sparsify(g, Config{TargetDensity: 0.2, Tree: TreeMaxWeight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tree.MaxWeight(g)
+	oracle := tree.NewPathOracle(st)
+	off := st.OffTreeEdges()
+	dist := make(map[int]float64, len(off))
+	for _, ei := range off {
+		e := g.Edge(ei)
+		dist[ei] = e.W * oracle.Resistance(e.U, e.V)
+	}
+	want := append([]int(nil), off...)
+	sort.SliceStable(want, func(a, b int) bool { return dist[want[a]] > dist[want[b]] })
+	want = want[:res.OffTree]
+
+	index := make(map[uint64]int, g.NumEdges())
+	for i, e := range g.Edges() {
+		index[e.Key()] = i
+	}
+	ties := 0
+	for k, e := range res.H.Edges()[res.TreeEdges:] {
+		got := index[e.Key()]
+		if got != want[k] {
+			t.Fatalf("admission %d: edge %d (distortion %v), want edge %d (distortion %v)",
+				k, got, dist[got], want[k], dist[want[k]])
+		}
+		if k > 0 && dist[want[k]] == dist[want[k-1]] {
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no tied distortions among admitted edges; the test checks nothing")
 	}
 }

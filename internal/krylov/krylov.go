@@ -36,8 +36,9 @@ type Config struct {
 	Starts int
 	// Seed drives the deterministic RNG for start vectors.
 	Seed uint64
-	// Workers bounds the goroutines used for batch estimation; 0 means
-	// GOMAXPROCS.
+	// Workers bounds the goroutines used for the setup-phase products and
+	// the coordinate fill; 0 means GOMAXPROCS. The embedding is bit-identical
+	// for every value.
 	Workers int
 }
 
@@ -104,32 +105,11 @@ func (e *Embedding) EstimateEdges(edges []graph.Edge, workers int) []float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(edges) < 1024 {
-		for i, ed := range edges {
-			out[i] = e.Resistance(ed.U, ed.V)
+	parallelRange(len(edges), workers, 1024, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = e.Resistance(edges[i].U, edges[i].V)
 		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(edges) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(edges) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = e.Resistance(edges[i].U, edges[i].V)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -252,9 +232,9 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 	}
 
 	// Node-major coordinate table: coords[v][i] = (Q y_i)[v] / sqrt(theta_i).
-	// Ritz values at numerical zero are null-space remnants and are skipped.
-	coords := make([]float64, n*m)
-	dims := m
+	// Ritz values at numerical zero are null-space remnants and get a zero
+	// coefficient row.
+	coef := make([]float64, m*m) // coef[i*m+j] = y_ji / sqrt(theta_i)
 	for i := 0; i < m; i++ {
 		th := theta[i]
 		if th <= 1e-12 {
@@ -262,16 +242,54 @@ func NewEmbedding(g *graph.Graph, cfg Config) (*Embedding, error) {
 		}
 		scale := 1 / math.Sqrt(th)
 		for j := 0; j < m; j++ {
-			yji := y.At(j, i)
-			if yji == 0 {
-				continue
-			}
-			qj := basis[j]
-			c := yji * scale
-			for v := 0; v < n; v++ {
-				coords[v*dims+i] += c * qj[v]
-			}
+			coef[i*m+j] = y.At(j, i) * scale
 		}
 	}
-	return &Embedding{N: n, Dims: dims, coords: coords}, nil
+	coords := make([]float64, n*m)
+	parallelRange(n, cfg.Workers, 2048, func(lo, hi int) { fillCoords(coords, coef, basis, lo, hi) })
+	return &Embedding{N: n, Dims: m, coords: coords}, nil
+}
+
+// parallelRange runs fn over [0, n) in contiguous ranges, one per worker,
+// or on the caller's goroutine when n is below cutoff.
+func parallelRange(n, workers, cutoff int, fn func(lo, hi int)) {
+	if workers <= 1 || n < cutoff {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, hi)
+		}()
+	}
+	wg.Wait()
+}
+
+// fillCoords writes coordinate rows lo..hi-1: row v, entry i is the sum over
+// j, in ascending order, of coef[i*m+j] * basis[j][v]. Each entry is one
+// sequential sum, so the table is bit-identical for every row split. Zero
+// coefficients (skipped Ritz values) contribute ±0 products, which change no
+// bit of a sum that starts at +0.
+func fillCoords(coords, coef []float64, basis [][]float64, lo, hi int) {
+	m := len(basis)
+	q := make([]float64, m)
+	for v := lo; v < hi; v++ {
+		for j, b := range basis {
+			q[j] = b[v]
+		}
+		row := coords[v*m : (v+1)*m]
+		for i := range row {
+			c := coef[i*m : (i+1)*m]
+			var s float64
+			for j, x := range q {
+				s += c[j] * x
+			}
+			row[i] = s
+		}
+	}
 }

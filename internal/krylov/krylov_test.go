@@ -234,3 +234,35 @@ func TestLanczosErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEmbeddingBitIdenticalAcrossWorkers builds the embedding of a graph above
+// the parallel coordinate-fill cutoff at several worker counts, including
+// ones that do not divide the node count, and demands every coordinate bit
+// match the single-worker table.
+func TestEmbeddingBitIdenticalAcrossWorkers(t *testing.T) {
+	g := gridGraph(80, 80)
+	if g.NumNodes() < 2048 {
+		t.Fatalf("grid of %d nodes is below the parallel cutoff", g.NumNodes())
+	}
+	ref, err := NewEmbedding(g, Config{Seed: 9, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 7} {
+		emb, err := NewEmbedding(g, Config{Seed: 9, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if emb.Dims != ref.Dims {
+			t.Fatalf("workers %d: dims %d, want %d", w, emb.Dims, ref.Dims)
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			a, b := ref.Coord(v), emb.Coord(v)
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("workers %d: coord[%d][%d] = %v, want %v", w, v, i, b[i], a[i])
+				}
+			}
+		}
+	}
+}

@@ -15,9 +15,10 @@
 package lrd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/krylov"
@@ -195,11 +196,7 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			}
 		}
 
-		order := make([]int, cur.NumEdges())
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return resist[order[a]] < resist[order[b]] })
+		order := contractionOrder(resist)
 
 		uf := graph.NewUnionFind(cur.NumNodes())
 		diam := append([]float64(nil), carriedDiam...)
@@ -219,19 +216,20 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 			merged = true
 		}
 
-		// Dense-renumber the new clusters.
-		repTo := make(map[int]int32, cur.NumNodes())
+		// Dense-renumber the new clusters in order of first appearance.
+		repTo := make([]int32, cur.NumNodes()) // union-find root -> cluster id
+		for i := range repTo {
+			repTo[i] = -1
+		}
 		newID := make([]int32, cur.NumNodes())
 		var count int32
 		for v := 0; v < cur.NumNodes(); v++ {
 			r := uf.Find(v)
-			id, ok := repTo[r]
-			if !ok {
-				id = count
+			if repTo[r] < 0 {
+				repTo[r] = count
 				count++
-				repTo[r] = id
 			}
-			newID[v] = id
+			newID[v] = repTo[r]
 		}
 
 		// Cluster diameters, sizes in the dense numbering.
@@ -316,11 +314,24 @@ func Build(h *graph.Graph, cfg Config) (*Decomposition, error) {
 	return d, nil
 }
 
+// contractionOrder returns the edge indices by ascending resistance, equal
+// resistances in ascending edge index.
+func contractionOrder(resist []float64) []int {
+	order := make([]int, len(resist))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(resist[a], resist[b]), cmp.Compare(a, b))
+	})
+	return order
+}
+
 func median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), v...)
-	sort.Float64s(s)
+	slices.Sort(s)
 	return s[len(s)/2]
 }

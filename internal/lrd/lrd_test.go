@@ -3,6 +3,7 @@ package lrd
 import (
 	"context"
 	"math"
+	"sort"
 	"testing"
 
 	"ingrass/internal/graph"
@@ -280,5 +281,40 @@ func TestDiameterMonotonicity(t *testing.T) {
 			}
 			prev = cur
 		}
+	}
+}
+
+// TestContractionOrderTiesAscendingIndex ranks a unit-weight grid's edges by
+// embedded resistance rounded to a coarse grid, so many estimates tie: the
+// order must be ascending resistance with equal resistances in ascending
+// edge index, the order a stable sort gives.
+func TestContractionOrderTiesAscendingIndex(t *testing.T) {
+	g := grid(20, 20)
+	emb, err := krylov.NewEmbedding(g, krylov.Config{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resist := emb.EstimateEdges(g.Edges(), 1)
+	for i, r := range resist {
+		resist[i] = math.Round(r*8) / 8
+	}
+	want := make([]int, len(resist))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return resist[want[a]] < resist[want[b]] })
+	got := contractionOrder(resist)
+	ties := 0
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("rank %d: edge %d (resistance %v), want edge %d (resistance %v)",
+				k, got[k], resist[got[k]], want[k], resist[want[k]])
+		}
+		if k > 0 && resist[want[k]] == resist[want[k-1]] {
+			ties++
+		}
+	}
+	if ties < len(want)/2 {
+		t.Fatalf("only %d ties among %d edges", ties, len(want))
 	}
 }

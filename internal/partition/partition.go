@@ -13,9 +13,10 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ingrass/internal/graph"
 	"ingrass/internal/solver"
@@ -157,7 +158,7 @@ func SplitByVector(g *graph.Graph, score []float64) *Bisection {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return score[idx[a]] < score[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Or(cmp.Compare(score[a], score[b]), cmp.Compare(a, b)) })
 	b := &Bisection{Side: make([]int, n)}
 	for rank, v := range idx {
 		if rank >= n/2 {

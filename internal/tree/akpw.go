@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"slices"
+
 	"ingrass/internal/graph"
 	"ingrass/internal/vecmath"
 )
@@ -89,7 +91,7 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 		}
 		// Map iteration order is nondeterministic; sort then shuffle with
 		// the seeded RNG for reproducibility.
-		sortInts(supers)
+		slices.Sort(supers)
 		rng.Shuffle(len(supers), func(i, j int) { supers[i], supers[j] = supers[j], supers[i] })
 
 		clear(assigned)
@@ -129,19 +131,4 @@ func LowStretch(g *graph.Graph, seed uint64) *SpanningTree {
 		}
 	}
 	return New(g, treeEdges)
-}
-
-// sortInts is a small insertion/shell sort to avoid importing sort for a
-// hot path slice that is usually tiny at deep levels.
-func sortInts(a []int) {
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }

@@ -1,7 +1,8 @@
 package tree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ingrass/internal/graph"
 )
@@ -19,8 +20,8 @@ func MaxWeight(g *graph.Graph) *SpanningTree {
 		order[i] = i
 	}
 	edges := g.Edges()
-	sort.SliceStable(order, func(a, b int) bool {
-		return edges[order[a]].W > edges[order[b]].W
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(edges[b].W, edges[a].W), cmp.Compare(a, b))
 	})
 	uf := graph.NewUnionFind(g.NumNodes())
 	keep := make([]int, 0, g.NumNodes()-1)
